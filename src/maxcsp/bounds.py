@@ -10,8 +10,8 @@ Three groups of quantities live here:
   form a set S, flipping at most r = floor(eps*w/tau) of them from an
   optimum loses at most r*tau <= eps*w weight, so at least
   sum_{i<=r} C(|S|,i) assignments stay within additive slack eps*w of the
-  optimum. ``counting_bound`` evaluates log2 of that sum on a grid of
-  thresholds and keeps the best;
+  optimum. ``counting_bound`` evaluates log2 of that sum at every
+  threshold of ``breakpoint_grid`` and keeps the best;
 
 * closed-form / numerically optimized runtime exponents for the sampling
   algorithm and for the baselines it is compared against (the hirsch1 and
@@ -30,15 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .instance import CspInstance
 
-_LN2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 OURS_CSP = "ours_csp"
@@ -78,27 +75,19 @@ def entropy_scaling_gap(x: float, y: float, r: float) -> float:
 
 
 def binomial_sum(s: int, r: int) -> int:
-    """Exact sum_{i=0}^{r} C(s, i)."""
+    """Exact sum_{i=0}^{r} C(s, i), by the integer recurrence C(s, i+1) = C(s, i)(s-i)/(i+1)."""
     if s < 0 or r < 0:
         raise DomainError("binomial sum needs s >= 0 and r >= 0")
-    return sum(math.comb(s, i) for i in range(min(r, s) + 1))
+    term = total = 1
+    for i in range(min(r, s)):
+        term = term * (s - i) // (i + 1)
+        total += term
+    return total
 
 
 def log2_binomial_sum(s: int, r: int) -> float:
-    """log2 of sum_{i=0}^{r} C(s, i).
-
-    Exact integer arithmetic for s <= 64; otherwise log-domain gamma terms
-    combined with compensated summation.
-    """
-    if s < 0 or r < 0:
-        raise DomainError("binomial sum needs s >= 0 and r >= 0")
-    r = min(r, s)
-    if s <= 64:
-        return math.log2(binomial_sum(s, r))
-    i = np.arange(r + 1, dtype=np.float64)
-    terms = (gammaln(s + 1.0) - gammaln(i + 1.0) - gammaln(s - i + 1.0)) / _LN2
-    top = float(terms.max())
-    return top + math.log2(math.fsum(np.exp2(terms - top)))
+    """log2 of sum_{i=0}^{r} C(s, i), taken of the exact integer sum."""
+    return math.log2(binomial_sum(s, r))
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +153,6 @@ def flip_radius(eps_eff: float, total_weight: float, threshold: float) -> int:
     return int(Fraction(eps_eff) * Fraction(total_weight) / Fraction(threshold))
 
 
-def _nudge_feasible(tau: float, need: Fraction, n: int) -> float:
-    """Smallest float >= tau with Fraction(tau) * n >= need."""
-    while Fraction(tau) * n < need:
-        tau = math.nextafter(tau, math.inf)
-    return tau
-
-
 def breakpoint_grid(inst: CspInstance, eps_eff: float) -> list[float]:
     """Feasible thresholds where |S| changes, plus the feasibility edge.
 
@@ -180,7 +162,9 @@ def breakpoint_grid(inst: CspInstance, eps_eff: float) -> list[float]:
     """
     n = inst.num_vars
     need = Fraction(inst.weighted_length) + Fraction(eps_eff) * Fraction(inst.total_weight)
-    tau_lo = _nudge_feasible((inst.weighted_length + eps_eff * inst.total_weight) / n, need, n)
+    tau_lo = (inst.weighted_length + eps_eff * inst.total_weight) / n
+    while Fraction(tau_lo) * n < need:  # smallest float on the feasible side
+        tau_lo = math.nextafter(tau_lo, math.inf)
     taus = {tau_lo}
     for c in sorted(set(inst.contributions)):
         if c > 0.0 and Fraction(c) * n >= need:
@@ -192,7 +176,6 @@ def counting_bound(
     inst: CspInstance,
     epsilon: float,
     w_bar: float | None = None,
-    delta_grid: Iterable[float] | None = None,
 ) -> CountingBound:
     """Lower-bound the number of assignments within additive slack eps_eff*w.
 
@@ -200,35 +183,17 @@ def counting_bound(
     (the additive slack eps*w_bar then implies a (1-eps) multiplicative
     guarantee relative to any optimum of weight >= w_bar). The guarantee is
     constructive and constant-free: at least 2**log2_count assignments meet
-    the threshold, exactly.
-
-    ``delta_grid``: optional explicit delta values to evaluate; by default
-    every feasible |S| breakpoint plus the continuous optimizer output.
+    the threshold, exactly. The thresholds evaluated are exactly
+    ``breakpoint_grid``, which carries the maximum over all feasible tau.
     """
     w = inst.total_weight
     ell = inst.weighted_length
     n = inst.num_vars
     eps_eff = _effective_epsilon(epsilon, w_bar, w)
-    need = Fraction(ell) + Fraction(eps_eff) * Fraction(w)
-
-    if delta_grid is None:
-        taus = breakpoint_grid(inst, eps_eff)
-        delta_star, _ = _minimize_exponent(w, ell, eps_eff, w)
-        taus.append(_nudge_feasible(delta_star * ell / n, need, n))
-    else:
-        taus = []
-        for d in delta_grid:
-            d = float(d)
-            if Fraction(d) < 1 + Fraction(eps_eff) * Fraction(w) / Fraction(ell):
-                continue
-            taus.append(_nudge_feasible(d * ell / n, need, n))
-    taus = sorted(set(taus))
-    if not taus:
-        raise DomainError("no feasible delta in the requested grid")
 
     contributions = inst.contributions
     records = []
-    for tau in taus:
+    for tau in breakpoint_grid(inst, eps_eff):
         s = sum(1 for c in contributions if c <= tau)
         r = flip_radius(eps_eff, w, tau)
         if r > s:  # cannot happen for feasible tau; guard the contract anyway

@@ -1,15 +1,14 @@
 """Brute-force ground truth for desk-scale instances.
 
-Enumerates all 2^n assignments along a Gray-code walk, updating each
-constraint's truth-table row and the running weight incrementally per
-flipped variable: O(2^n * average degree) instead of O(2^n * l). The walk
-is output-identical to naive per-assignment evaluation (exactly so for
-integral weights).
+Enumerates all 2^n assignments in chunks through the same vectorized
+kernel the sampler uses (``weight_of_batch``), so the weight table is
+bit-identical to the scalar ``weight_of`` of every assignment, integral
+weights or not. Nothing is cached: each call enumerates afresh.
 
 On top of the exact weight table this module checks, constant-free, the
-counting guarantee the sampler relies on: for every feasible threshold,
-the number of assignments within additive slack eps*w of the optimum is at
-least sum_{i<=r} C(|S|,i), and every member of the constructed flip set
+records of ``counting_bound`` itself: for every threshold it evaluates,
+the number of assignments within additive slack eps*w of the optimum is
+at least sum_{i<=r} C(|S|,i), and every member of the constructed flip set
 actually meets the threshold.
 """
 
@@ -17,79 +16,56 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .bounds import entropy_scaling_gap
+from .bounds import binomial_sum, counting_bound, entropy_scaling_gap
 from .errors import DomainError, SizeError
-from .instance import Assignment, CspInstance
+from .instance import Assignment, CspInstance, weight_of_batch
 
 ORACLE_CAP = 24
-
-
-@lru_cache(maxsize=16)
-def _weights_table(inst: CspInstance) -> np.ndarray:
-    n = inst.num_vars
-    tables = []
-    wts = []
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ci, c in enumerate(inst.constraints):
-        tables.append([(c.truth_table >> t) & 1 for t in range(1 << c.arity)])
-        wts.append(c.weight)
-        for j, v in enumerate(c.vars):
-            adjacency[v - 1].append((ci, 1 << j))
-
-    rows = [0] * len(tables)
-    w = 0.0
-    for ci, tab in enumerate(tables):
-        if tab[0]:
-            w += wts[ci]
-    out = np.empty(1 << n, dtype=np.float64)
-    out[0] = w
-    code = 0
-    for g in range(1, 1 << n):
-        flip = (g & -g).bit_length() - 1
-        code ^= 1 << flip
-        for ci, mask in adjacency[flip]:
-            t_old = rows[ci]
-            t_new = t_old ^ mask
-            rows[ci] = t_new
-            tab = tables[ci]
-            d = tab[t_new] - tab[t_old]
-            if d:
-                w += wts[ci] * d
-        out[code] = w
-    out.setflags(write=False)
-    return out
+_CHUNK = 1 << 16
 
 
 def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
-    """Read-only weight of every assignment, indexed by the packed bit value."""
-    if inst.num_vars > cap:
-        raise SizeError(f"{inst.num_vars} variables exceed the enumeration cap {cap}")
-    return _weights_table(inst)
+    """Weight of every assignment, indexed by the packed bit value."""
+    n = inst.num_vars
+    if n > cap:
+        raise SizeError(f"{n} variables exceed the enumeration cap {cap}")
+    size = 1 << n
+    shifts = np.arange(n, dtype=np.int64)[:, None]
+    out = np.empty(size, dtype=np.float64)
+    for start in range(0, size, _CHUNK):
+        z = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
+        # built variable-major and passed transposed, so the kernel's
+        # per-variable column reads are contiguous
+        out[start:start + len(z)] = weight_of_batch(inst, ((z >> shifts) & 1).T)
+    return out
 
 
 def _threshold_tolerance(inst: CspInstance) -> float:
-    # integral weights evaluate exactly; real weights get 1e-9 slack for
-    # accumulated rounding
-    return 0.0 if inst.integer_weights else 1e-9
+    # integral weights evaluate exactly; real weights get slack for the
+    # rounding of m sequential additions, relative to the weight scale
+    if inst.integer_weights:
+        return 0.0
+    return inst.num_constraints * math.ulp(inst.total_weight)
+
+
+def _optimum(weights: np.ndarray, n: int) -> tuple[float, int]:
+    """Maximum of a weight table and the packed index of its lexicographically smallest maximizer."""
+    w_star = float(weights.max())
+    candidates = np.flatnonzero(weights == w_star).astype(np.int64)
+    big_endian = np.zeros(len(candidates), dtype=np.int64)
+    for f in range(n):
+        big_endian |= ((candidates >> f) & 1) << (n - 1 - f)
+    return w_star, int(candidates[int(np.argmin(big_endian))])
 
 
 def brute_force_optimum(inst: CspInstance, cap: int = ORACLE_CAP) -> tuple[float, Assignment]:
     """Exact maximum weight and its lexicographically smallest maximizer."""
-    weights = assignment_weights(inst, cap)
-    w_star = float(weights.max())
-    candidates = np.flatnonzero(weights == w_star).astype(np.int64)
-    n = inst.num_vars
-    big_endian = np.zeros(len(candidates), dtype=np.int64)
-    for f in range(n):
-        big_endian |= ((candidates >> f) & 1) << (n - 1 - f)
-    z = int(candidates[int(np.argmin(big_endian))])
-    return w_star, Assignment.from_int(z, n)
+    w_star, z = _optimum(assignment_weights(inst, cap), inst.num_vars)
+    return w_star, Assignment.from_int(z, inst.num_vars)
 
 
 def count_near_optimal(inst: CspInstance, epsilon: float, cap: int = ORACLE_CAP) -> int:
@@ -130,73 +106,44 @@ def verify_counting_bound(
     w_bar: float | None = None,
     cap: int = ORACLE_CAP,
 ) -> VerificationReport:
-    """Check d_exact >= sum_{i<=r} C(|S|,i) at every feasible breakpoint.
+    """Check d_exact >= sum_{i<=r} C(|S|,i) for every record of ``counting_bound``.
 
     Also replays the constructive argument: every assignment obtained from
     the brute-force maximizer by flipping at most r variables of S must
     itself meet the additive threshold.
     """
-    if not 0.0 < float(epsilon) <= 1.0:
-        raise DomainError(f"epsilon {epsilon} outside (0, 1]")
-    w = inst.total_weight
-    if w_bar is not None:
-        if not 0.0 < float(w_bar) <= w:
-            raise DomainError(f"w_bar {w_bar} outside (0, w={w}]")
-        eps_eff = float(epsilon) * float(w_bar) / w
-    else:
-        eps_eff = float(epsilon)
-
-    weights = assignment_weights(inst, cap)
+    cb = counting_bound(inst, epsilon, w_bar)
     n = inst.num_vars
-    ell = inst.weighted_length
-    w_star, argmax = brute_force_optimum(inst, cap)
-    z0 = argmax.to_int()
-    tol = _threshold_tolerance(inst)
-    threshold = w_star - eps_eff * w
-
-    d_exact = int((weights >= threshold - tol).sum())
-
-    need = Fraction(ell) + Fraction(eps_eff) * Fraction(w)
-    tau_lo = (ell + eps_eff * w) / n
-    while Fraction(tau_lo) * n < need:
-        tau_lo = math.nextafter(tau_lo, math.inf)
-    taus = {tau_lo}
-    for c in sorted(set(inst.contributions)):
-        if c > 0.0 and Fraction(c) * n >= need:
-            taus.add(c)
+    weights = assignment_weights(inst, cap)
+    w_star, z0 = _optimum(weights, n)
+    floor = w_star - cb.effective_epsilon * inst.total_weight - _threshold_tolerance(inst)
+    d_exact = int((weights >= floor).sum())
 
     checks = []
-    for tau in sorted(taus):
-        s_vars = [f for f in range(n) if inst.contributions[f] <= tau]
-        s = len(s_vars)
-        r = int(Fraction(eps_eff) * Fraction(w) / Fraction(tau))
-        sigma = sum(math.comb(s, i) for i in range(min(r, s) + 1))
-
+    for rec in cb.per_delta:
+        masks = [1 << f for f in range(n) if inst.contributions[f] <= rec.threshold]
         members = [z0]
-        masks = [1 << f for f in s_vars]
-        for size in range(1, min(r, s) + 1):
+        for size in range(1, rec.r + 1):
             for combo in combinations(masks, size):
                 members.append(z0 ^ sum(combo))
-        member_weights = weights[np.array(members, dtype=np.int64)]
-        members_ok = bool((member_weights >= threshold - tol).all())
-
+        sigma = binomial_sum(rec.s_size, rec.r)
         checks.append(
             DeltaCheck(
-                delta=tau * n / ell,
-                threshold=tau,
-                s_size=s,
-                r=min(r, s),
+                delta=rec.delta,
+                threshold=rec.threshold,
+                s_size=rec.s_size,
+                r=rec.r,
                 sigma_count=sigma,
                 count_ok=d_exact >= sigma,
-                members_ok=members_ok,
+                members_ok=bool((weights[np.array(members, dtype=np.int64)] >= floor).all()),
             )
         )
 
     return VerificationReport(
         num_vars=n,
         num_constraints=inst.num_constraints,
-        epsilon=float(epsilon),
-        effective_epsilon=eps_eff,
+        epsilon=cb.epsilon,
+        effective_epsilon=cb.effective_epsilon,
         w_star=w_star,
         d_exact=d_exact,
         per_delta_checks=tuple(checks),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from maxcsp.cli import main
@@ -204,3 +209,18 @@ class TestVerify:
         p.write_text(serialize(random_ekcnf(16, 10, 3, seed=0), "cnf"), encoding="utf-8")
         code, _, err = run_cli(capsys, "verify", str(p), "--eps", "0.5", "--max-n", "12")
         assert code == 4
+
+
+def test_import_needs_only_numpy():
+    # numpy is the only runtime dependency; importing the package must not
+    # pull in scipy, even where it is installed
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, maxcsp; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert run.stdout.strip() == "False"

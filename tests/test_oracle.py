@@ -5,11 +5,15 @@ import pytest
 
 from maxcsp import (
     Assignment,
+    Constraint,
+    CspInstance,
     DomainError,
     SizeError,
     assignment_weights,
+    binomial_sum,
     brute_force_optimum,
     count_near_optimal,
+    counting_bound,
     random_csp,
     random_ekcnf,
     random_wcnf,
@@ -36,15 +40,16 @@ class TestBruteForce:
         for seed in range(5):
             inst = random_wcnf(8, 15, 3, seed=seed)
             w_star, argmax = brute_force_optimum(inst)
-            assert weight_of(inst, argmax) == pytest.approx(w_star, abs=1e-9)
+            assert weight_of(inst, argmax) == w_star
 
     def test_size_cap(self):
         inst = random_ekcnf(12, 10, 3, seed=0)
         with pytest.raises(SizeError):
             brute_force_optimum(inst, cap=10)
 
-    def test_gray_walk_matches_naive(self):
-        # incremental enumeration is output-identical to direct evaluation
+    def test_table_matches_scalar_weight_of(self):
+        # the batched enumeration is bit-identical to direct evaluation,
+        # integral weights or not
         for i in range(6):
             builder = (random_ekcnf, random_wcnf, random_csp)[i % 3]
             inst = builder(7, 12, 3, seed=50 + i)
@@ -55,10 +60,7 @@ class TestBruteForce:
                     for z in range(1 << inst.num_vars)
                 ]
             )
-            if inst.integer_weights:
-                assert np.array_equal(table, naive)
-            else:
-                assert np.allclose(table, naive, atol=1e-9, rtol=0.0)
+            assert np.array_equal(table, naive), (i, inst.integer_weights)
 
 
 class TestCountNearOptimal:
@@ -119,20 +121,35 @@ class TestVerifyCountingBound:
                 assert report.all_pass, (i, eps)
 
     def test_sigma_matches_counting_bound_records(self):
-        # oracle-side (s, r) agrees with the bound calculator at breakpoints
-        from maxcsp import counting_bound, log2_binomial_sum
-
+        # the oracle checks exactly the bound calculator's records, in order
         inst = random_ekcnf(10, 30, 3, seed=5)
         for eps in (0.2, 0.7):
-            report = verify_counting_bound(inst, eps)
-            cb = counting_bound(inst, eps)
-            by_threshold = {rec.threshold: rec for rec in cb.per_delta}
-            for check in report.per_delta_checks:
-                rec = by_threshold[check.threshold]
-                assert (rec.s_size, rec.r) == (check.s_size, check.r)
-                assert rec.log2_count == pytest.approx(
-                    math.log2(check.sigma_count), abs=1e-12
+            for w_bar in (None, inst.total_weight * 0.6):
+                report = verify_counting_bound(inst, eps, w_bar=w_bar)
+                cb = counting_bound(inst, eps, w_bar)
+                assert report.effective_epsilon == cb.effective_epsilon
+                assert len(report.per_delta_checks) == len(cb.per_delta)
+                for check, rec in zip(report.per_delta_checks, cb.per_delta):
+                    assert (check.delta, check.threshold) == (rec.delta, rec.threshold)
+                    assert (check.s_size, check.r) == (rec.s_size, rec.r)
+                    assert check.sigma_count == binomial_sum(rec.s_size, rec.r)
+                    assert math.log2(check.sigma_count) == rec.log2_count
+
+    def test_power_of_two_scaling_changes_nothing(self):
+        # scaling every weight by a power of two is exact in floating point,
+        # so the counts must not move, however small or large the weights
+        inst = random_wcnf(10, 30, 3, seed=11)
+        for eps in (0.05, 0.2, 0.5):
+            plain = verify_counting_bound(inst, eps)
+            for scale in (2.0**-40, 2.0**30):
+                scaled = CspInstance(
+                    inst.num_vars,
+                    tuple(Constraint(c.weight * scale, c.vars, c.truth_table) for c in inst.constraints),
                 )
+                report = verify_counting_bound(scaled, eps)
+                assert report.d_exact == plain.d_exact, (eps, scale)
+                assert report.all_pass == plain.all_pass
+                assert count_near_optimal(scaled, eps) == count_near_optimal(inst, eps)
 
     def test_domain_and_size(self, single_pair):
         with pytest.raises(DomainError):
