@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CspError, FormatError, UnsupportedError
-from .instance import Constraint, CspInstance, clause_from_literals, clause_literals
+from .instance import MAX_ARITY, Constraint, CspInstance, clause_from_literals, clause_literals
 
 CNF = "cnf"
 WCNF = "wcnf"
@@ -208,8 +208,8 @@ def parse_csp(text: str) -> tuple[CspInstance, ParseDiagnostics]:
             arity = int(fields[2])
         except ValueError:
             raise FormatError(f"arity {fields[2]!r} is not an integer", no) from None
-        if arity < 1 or arity > 20:
-            raise FormatError(f"arity {arity} outside 1..20", no)
+        if arity < 1 or arity > MAX_ARITY:
+            raise FormatError(f"arity {arity} outside 1..{MAX_ARITY}", no)
         if len(fields) != 4 + arity:
             raise FormatError(
                 f"expected {3 + arity} fields plus the table, got {len(fields)}", no

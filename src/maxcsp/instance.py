@@ -171,18 +171,6 @@ class CspInstance:
         """True when every weight is integral; such instances evaluate exactly."""
         return all(c.weight.is_integer() for c in self.constraints)
 
-    @cached_property
-    def _eval_data(self):
-        """Per-constraint (weight, 0-based var index array, bool table array)."""
-        out = []
-        for c in self.constraints:
-            vidx = np.array([v - 1 for v in c.vars], dtype=np.int64)
-            table = np.zeros(1 << c.arity, dtype=bool)
-            for t in range(1 << c.arity):
-                table[t] = bool((c.truth_table >> t) & 1)
-            out.append((c.weight, vidx, table))
-        return out
-
 
 def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> float:
     """Total weight of the constraints satisfied by ``assignment``."""
@@ -202,19 +190,24 @@ def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> floa
 def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     """Vectorized weights for a (batch, num_vars) 0/1 matrix.
 
+    Accepts any memory order and any dtype holding 0/1 values; it makes one
+    uint8 Fortran-order copy, so each variable's column is contiguous.
     Accumulates per constraint in instance order, elementwise, so each row's
     result is bit-identical to the scalar ``weight_of`` of that row and is
     independent of how the batch is chunked.
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
-    b = bits.astype(np.int64, copy=False)
-    out = np.zeros(len(b), dtype=np.float64)
-    for w, vidx, table in inst._eval_data:
-        t = b[:, vidx[0]].copy()
-        for j in range(1, len(vidx)):
-            t |= b[:, vidx[j]] << j
-        out += w * table[t]
+    cols = np.asfortranarray(bits, dtype=np.uint8)
+    out = np.zeros(len(cols), dtype=np.float64)
+    for c in inst.constraints:
+        size = 1 << c.arity
+        packed = np.frombuffer(c.truth_table.to_bytes((size + 7) // 8, "little"), np.uint8)
+        table = np.unpackbits(packed, count=size, bitorder="little").view(bool)
+        t = cols[:, c.vars[0] - 1].astype(np.intp)
+        for j, v in enumerate(c.vars[1:], 1):
+            t |= cols[:, v - 1].astype(np.intp) << j
+        out += c.weight * table[t]
     return out
 
 

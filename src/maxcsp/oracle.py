@@ -23,6 +23,7 @@ import numpy as np
 from .bounds import binomial_sum, counting_bound, entropy_scaling_gap
 from .errors import DomainError, SizeError
 from .instance import Assignment, CspInstance, weight_of_batch
+from .rng import unpack_bits
 
 ORACLE_CAP = 24
 _CHUNK = 1 << 16
@@ -34,13 +35,11 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
     if n > cap:
         raise SizeError(f"{n} variables exceed the enumeration cap {cap}")
     size = 1 << n
-    shifts = np.arange(n, dtype=np.int64)[:, None]
     out = np.empty(size, dtype=np.float64)
     for start in range(0, size, _CHUNK):
-        z = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-        # built variable-major and passed transposed, so the kernel's
-        # per-variable column reads are contiguous
-        out[start:start + len(z)] = weight_of_batch(inst, ((z >> shifts) & 1).T)
+        stop = min(start + _CHUNK, size)
+        z = np.arange(start, stop, dtype=np.uint64)[:, None]
+        out[start:stop] = weight_of_batch(inst, unpack_bits(z, n))
     return out
 
 

@@ -3,6 +3,10 @@
 SplitMix64: the value at counter c is finalize(seed + (c+1)*GAMMA). Every
 output is a pure function of (seed, counter), so disjoint index ranges can
 be generated independently, in any order, with identical results.
+
+``unpack_bits`` owns the layout of packed assignment words, for the sampler
+and the oracle alike: variable v (0-based) of an item is bit v % 64 of its
+word v // 64, least significant bit first.
 """
 
 from __future__ import annotations
@@ -29,15 +33,17 @@ def random_words(seed: int, start: int, count: int, words_per_item: int) -> np.n
     return _mix(x)
 
 
+def unpack_bits(words: np.ndarray, num_vars: int) -> np.ndarray:
+    """(rows, num_vars) uint8 0/1 matrix from (rows, words) packed uint64 values."""
+    return np.unpackbits(
+        words.astype("<u8", copy=False).view(np.uint8), axis=1, count=num_vars, bitorder="little"
+    )
+
+
 def assignment_bits(seed: int, start: int, count: int, num_vars: int) -> np.ndarray:
     """(count, num_vars) uint8 matrix of uniform assignment bits.
 
     Row i holds the assignment for iteration index start+i; it depends only
     on (seed, start+i), never on the batch boundaries.
     """
-    words_per_item = (num_vars + 63) // 64
-    words = random_words(seed, start, count, words_per_item)
-    out = np.empty((count, num_vars), dtype=np.uint8)
-    for v in range(num_vars):
-        out[:, v] = ((words[:, v >> 6] >> np.uint64(v & 63)) & np.uint64(1)).astype(np.uint8)
-    return out
+    return unpack_bits(random_words(seed, start, count, (num_vars + 63) // 64), num_vars)

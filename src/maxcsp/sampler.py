@@ -104,30 +104,21 @@ def iteration_budget(inst: CspInstance, cfg: SamplerConfig) -> int:
     return _budget(inst.num_vars, cb.log2_count, cfg)[0]
 
 
-def _scan_range(
-    inst: CspInstance,
-    seed: int,
-    lo: int,
-    hi: int,
-    trace: Callable[[int, float], None] | None,
-) -> tuple[float, int]:
-    """Best (weight, index) over iteration indices [lo, hi), earliest-wins."""
+def _scan_range(inst: CspInstance, seed: int, lo: int, hi: int) -> list[tuple[int, float]]:
+    """Strict improvements (index, weight) over iteration indices [lo, hi), in index order.
+
+    The last event is the range's best, earliest index among equal weights.
+    """
+    events: list[tuple[int, float]] = []
     best_w = -math.inf
-    best_i = -1
-    n = inst.num_vars
     for start in range(lo, hi, _CHUNK):
         count = min(_CHUNK, hi - start)
-        bits = assignment_bits(seed, start, count, n)
-        weights = weight_of_batch(inst, bits)
-        if trace is not None:
-            running = np.maximum.accumulate(np.concatenate(([best_w], weights)))[:-1]
-            for j in np.flatnonzero(weights > running):
-                trace(start + int(j), float(weights[j]))
-        j = int(np.argmax(weights))
-        w = float(weights[j])
-        if w > best_w:
-            best_w, best_i = w, start + j
-    return best_w, best_i
+        weights = weight_of_batch(inst, assignment_bits(seed, start, count, inst.num_vars))
+        running = np.maximum.accumulate(np.concatenate(([best_w], weights)))[:-1]
+        for j in np.flatnonzero(weights > running):
+            events.append((start + int(j), float(weights[j])))
+        best_w = events[-1][1]
+    return events
 
 
 def solve(
@@ -139,8 +130,10 @@ def solve(
 
     Deterministic in (instance, config): ties break toward the lowest
     iteration index, and the outcome does not depend on ``parallelism``.
-    ``trace(index, weight)`` is invoked for every strict improvement a
-    worker sees while scanning its own index range in order.
+    ``trace(index, weight)`` is invoked for every strict improvement of the
+    best weight over all indices below it, in index order. It runs on the
+    calling thread after the scan, and its events are identical at every
+    ``parallelism``.
     """
     cb = counting_bound(inst, cfg.epsilon, cfg.w_bar)
     budget, clamped = _budget(inst.num_vars, cb.log2_count, cfg)
@@ -150,14 +143,17 @@ def solve(
     ranges = [(int(cuts[i]), int(cuts[i + 1])) for i in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: _scan_range(inst, cfg.seed, *r, trace), ranges))
+            parts = list(pool.map(lambda r: _scan_range(inst, cfg.seed, *r), ranges))
     else:
-        parts = [_scan_range(inst, cfg.seed, lo, hi, trace) for lo, hi in ranges]
+        parts = [_scan_range(inst, cfg.seed, lo, hi) for lo, hi in ranges]
 
-    best_w, best_i = parts[0]
-    for w, i in parts[1:]:
-        if w > best_w or (w == best_w and i < best_i):
-            best_w, best_i = w, i
+    best_i, best_w = -1, -math.inf
+    for events in parts:
+        for i, w in events:
+            if w > best_w:
+                best_i, best_w = i, w
+                if trace is not None:
+                    trace(i, w)
 
     bits = assignment_bits(cfg.seed, best_i, 1, inst.num_vars)[0]
     hit_rate = 2.0 ** (cb.log2_count - inst.num_vars)

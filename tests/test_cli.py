@@ -70,6 +70,64 @@ class TestSolve:
             outs.add(out)
         assert len(outs) == 1
 
+    @pytest.mark.parametrize(
+        "gen_args, solve_args, expected",
+        [
+            (
+                ("--n", "10", "--m", "30", "--k", "3", "--seed", "4"),
+                ("--eps", "0.1", "--seed", "7"),
+                "n=10\n"
+                "m=30\n"
+                "w=30.0\n"
+                "ell=90.0\n"
+                "eps=0.1\n"
+                "eps_eff=0.1\n"
+                "log2_count=0.0\n"
+                "log2_budget=12.788310503700918\n"
+                "iterations_budget=7074\n"
+                "iterations=7074\n"
+                "clamped=0\n"
+                "best_weight=30.0\n"
+                "guarantee=additive\n"
+                "fail_prob=0.001\n"
+                "achieved_fail_prob=0.000999552254250196\n"
+                "seed=7\n"
+                "assignment=0011010011\n",
+            ),
+            (
+                # three words per sample; the budget crosses a chunk boundary
+                ("--n", "130", "--m", "400", "--k", "3", "--seed", "1"),
+                ("--eps", "0.05", "--seed", "3", "--max-iters", "66000", "--parallelism", "2"),
+                "n=130\n"
+                "m=400\n"
+                "w=400.0\n"
+                "ell=1200.0\n"
+                "eps=0.05\n"
+                "eps_eff=0.05\n"
+                "log2_count=11.967946705812707\n"
+                "log2_budget=16.01017840402054\n"
+                "iterations_budget=66000\n"
+                "iterations=66000\n"
+                "clamped=1\n"
+                "best_weight=376.0\n"
+                "guarantee=additive\n"
+                "fail_prob=0.001\n"
+                "achieved_fail_prob=1.0\n"
+                "seed=3\n"
+                "assignment=1101010000100010101101011010110011011101010110101101100001"
+                "011100100110101111101111010100111011111010111001111011111110100111010110\n",
+            ),
+        ],
+        ids=["n10", "n130"],
+    )
+    def test_golden_output(self, tmp_path, capsys, gen_args, solve_args, expected):
+        # pins the (seed, index) -> bits mapping and the kernel across versions
+        code, text, _ = run_cli(capsys, "gen", *gen_args)
+        assert code == 0
+        path = tmp_path / "golden.cnf"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "solve", str(path), *solve_args) == (0, expected, "")
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 2 1\n1 5 0\n", encoding="utf-8")

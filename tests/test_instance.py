@@ -264,13 +264,24 @@ def test_clause_tables_match_literal_semantics():
 def test_batch_matches_scalar_exactly():
     rng = np.random.default_rng(11)
     from maxcsp import random_csp, random_wcnf
+    from maxcsp.instance import MAX_ARITY
 
-    for builder, seed in [(random_wcnf, 3), (random_csp, 4)]:
-        inst = builder(8, 12, 3, seed)
-        bits = rng.integers(0, 2, size=(40, 8)).astype(np.uint8)
-        batch = weight_of_batch(inst, bits)
-        for row, expected in zip(bits, batch):
-            assert weight_of(inst, tuple(int(b) for b in row)) == expected
+    # tables shorter than one byte (arity 1 and 2) and the widest arity
+    wide_table = int.from_bytes(np.random.default_rng(12).bytes(1 << (MAX_ARITY - 3)), "little")
+    wide = CspInstance(
+        MAX_ARITY + 2,
+        (
+            Constraint(0.3, (MAX_ARITY + 1,), 0b10),
+            Constraint(2.7, (MAX_ARITY + 2, 3), 0b1001),
+            Constraint(1.5, tuple(range(1, MAX_ARITY + 1)), wide_table),
+        ),
+    )
+    for inst in [random_wcnf(8, 12, 3, 3), random_csp(8, 12, 3, 4), wide]:
+        bits = rng.integers(0, 2, size=(40, inst.num_vars)).astype(np.uint8)
+        expected = [weight_of(inst, tuple(int(b) for b in row)) for row in bits]
+        # any memory order and any 0/1 dtype
+        for layout in (bits, np.asfortranarray(bits), bits.astype(np.int64), bits.astype(bool)):
+            assert weight_of_batch(inst, layout).tolist() == expected
 
 
 def test_batch_dimension_check(single_pair):

@@ -29,6 +29,11 @@ def test_wide_assignments_use_multiple_words():
     assert set(np.unique(bits)) <= {0, 1}
     # upper words must not mirror the first one
     assert not np.array_equal(bits[:, :64], bits[:, 64:128])
+    # variable v is bit v % 64 of word v // 64, least significant first
+    words = random_words(9, 0, 8, 3)
+    for i in range(8):
+        for v in range(130):
+            assert bits[i, v] == (int(words[i, v // 64]) >> (v % 64)) & 1
 
 
 def test_rough_bit_balance():

@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +140,43 @@ class TestSolve:
             trace=lambda i, w: events.append((i, w)),
         )
         assert events[-1][1] == res.best_weight
+
+    @pytest.mark.parametrize(
+        "inst, budget",
+        [
+            (random_wcnf(12, 40, 4, seed=5), None),
+            # clamped, and the budget crosses the 65,536-sample chunk boundary
+            (random_ekcnf(80, 120, 3, seed=0), 70_000),
+        ],
+        ids=["real_weights", "clamped"],
+    )
+    def test_trace_identical_across_parallelism(self, inst, budget):
+        def run(workers):
+            events, threads = [], set()
+
+            def trace(i, w):
+                events.append((i, w))
+                threads.add(threading.get_ident())
+
+            cfg = SamplerConfig(epsilon=0.01, seed=3, max_iterations=budget, parallelism=workers)
+            solve(inst, cfg, trace=trace)
+            assert threads == {threading.get_ident()}
+            return events
+
+        base = run(1)
+        for workers in (2, 3, 8):
+            assert run(workers) == base
+
+    def test_chunk_memory_per_variable_per_sample(self):
+        inst = random_wcnf(2000, 300, 5, seed=1)
+        samples = 8192
+        tracemalloc.start()
+        try:
+            solve(inst, SamplerConfig(epsilon=0.01, seed=0, max_iterations=samples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * inst.num_vars * samples
 
     def test_covers_whole_space_matches_oracle(self):
         inst = random_ekcnf(6, 18, 3, seed=14)
