@@ -1,8 +1,9 @@
 """Compare runtime exponents: O*(2^(c*n)) with c from each method.
 
-The sampling algorithm's exponent comes from a numeric minimization over
-the contribution threshold; the baselines are closed forms. Smaller c is
-faster. Run: python demos/02_exponent_comparison.py
+The sampling algorithm's exponent is minimized over the contribution
+threshold by bisection on the sign of its derivative, which has a single
+root; the baselines are closed forms. Smaller c is faster.
+Run: python demos/02_exponent_comparison.py
 """
 
 from maxcsp import (

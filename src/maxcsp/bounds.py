@@ -13,11 +13,11 @@ Three groups of quantities live here:
   optimum. ``counting_bound`` evaluates log2 of that sum at every
   threshold of ``breakpoint_grid`` and keeps the best;
 
-* closed-form / numerically optimized runtime exponents for the sampling
-  algorithm and for the baselines it is compared against (the hirsch1 and
-  hirsch2 random-flip/random-walk bounds, the ept bound built on a
-  polynomial-time approximation), plus the 27-row comparison table with
-  its published reference values.
+* runtime exponents: the sampling algorithm's, minimized over delta by
+  bisection on the sign of its derivative, and the closed-form baselines
+  it is compared against (the hirsch1 and hirsch2 random-flip/random-walk
+  bounds, the ept bound built on a polynomial-time approximation), plus
+  the 27-row comparison table with its published reference values.
 
 S-membership uses exact float comparison against tau, and the flip radius
 and feasibility tests are evaluated in exact rational arithmetic over the
@@ -27,16 +27,13 @@ even at breakpoints where naive float rounding flips a comparison.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
 from .instance import CspInstance
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 OURS_CSP = "ours_csp"
 OURS_EKSAT = "ours_eksat"
@@ -54,14 +51,6 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def _entropy_arr(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    q = p[inner]
-    out[inner] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
-    return out
 
 
 def entropy_scaling_gap(x: float, y: float, r: float) -> float:
@@ -191,10 +180,10 @@ def counting_bound(
     n = inst.num_vars
     eps_eff = _effective_epsilon(epsilon, w_bar, w)
 
-    contributions = inst.contributions
+    contributions = sorted(inst.contributions)
     records = []
     for tau in breakpoint_grid(inst, eps_eff):
-        s = sum(1 for c in contributions if c <= tau)
+        s = bisect.bisect_right(contributions, tau)
         r = flip_radius(eps_eff, w, tau)
         if r > s:  # cannot happen for feasible tau; guard the contract anyway
             r = s
@@ -244,57 +233,34 @@ class ExponentReport:
         return 2.0 ** self.exponent
 
 
-def _minimize_exponent(
-    w: float, ell: float, epsilon: float, w_bar: float, grid_points: int = 4096
-) -> tuple[float, float]:
-    """Minimize 1 - H(eps*w_bar/((delta-1)*ell)) * (delta-1)/delta.
+def _minimize_exponent(w: float, ell: float, epsilon: float, w_bar: float) -> tuple[float, float]:
+    """Minimize 1 - H(a/u) * u/(1+u) over u = delta - 1 >= q; return (delta*, exponent).
 
-    Feasible set: delta >= 1 + eps*w/ell. Coarse scan over geometrically
-    spaced offsets brackets the minimum (guarding against non-unimodality),
-    golden-section refines the bracket to 1e-12 width.
+    Here a = eps*w_bar/ell and q = eps*w/ell >= a. Since d/du[u*H(a/u)] =
+    -log2(1 - a/u), the derivative of u*H(a/u)/(1+u) has the sign of
+
+        slope(u) = -(1+u)*log2(1 - a/u) - u*H(a/u),
+
+    whose own derivative -(1+u)*a / (u^2 (1 - a/u) ln 2) is negative: slope
+    falls strictly from +inf (u -> a) to -inf, so the exponent has exactly
+    one stationary point, a minimum. It is u = q if slope(q) <= 0, else the
+    root of slope, bisected until the float midpoint meets an endpoint.
     """
-    q = epsilon * w / ell  # feasibility offset: delta - 1 >= q
-    a = epsilon * w_bar / ell  # entropy argument = a / (delta - 1)
+    q = epsilon * w / ell
+    a = epsilon * w_bar / ell
 
-    def g(u: float) -> float:
+    def slope(u: float) -> float:
         p = a / u
-        if p > 1.0:
-            p = 1.0
-        return 1.0 - binary_entropy(p) * u / (1.0 + u)
+        if p >= 1.0:  # the limit u -> a, reached when w_bar == w at u == q
+            return math.inf
+        return -(1.0 + u) * math.log2(1.0 - p) - u * binary_entropy(p)
 
-    hi = 1e6 * q
-    for _ in range(64):
-        u = np.geomspace(q, hi, grid_points)
-        p = np.minimum(a / u, 1.0)
-        vals = 1.0 - _entropy_arr(p) * u / (1.0 + u)
-        j = int(np.argmin(vals))
-        if j == grid_points - 1:
-            hi *= 10.0
-            continue
-        lo_u = u[j - 1] if j > 0 else u[0]
-        hi_u = u[j + 1]
-        break
-    else:
-        raise DomainError("exponent minimizer failed to bracket a minimum")
-
-    b, c = lo_u, hi_u
-    x1 = c - _INVPHI * (c - b)
-    x2 = b + _INVPHI * (c - b)
-    f1, f2 = g(x1), g(x2)
-    while c - b > 1e-12:
-        if f1 <= f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - _INVPHI * (c - b)
-            f1 = g(x1)
-        else:
-            b, x1, f1 = x1, x2, f2
-            x2 = b + _INVPHI * (c - b)
-            f2 = g(x2)
-    u_star = float((b + c) / 2.0)
-    # the left boundary is feasible and may carry the minimum
-    if g(q) < g(u_star):
-        u_star = q
-    return 1.0 + u_star, float(g(u_star))
+    lo = hi = q
+    while slope(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+    return 1.0 + hi, 1.0 - binary_entropy(a / hi) * hi / (1.0 + hi)
 
 
 def exponent_ours_csp(
@@ -302,7 +268,6 @@ def exponent_ours_csp(
     ell: float,
     epsilon: float,
     w_bar: float | None = None,
-    grid_points: int = 4096,
 ) -> ExponentReport:
     """Sampling-algorithm exponent for a weighted instance shape (w, l)."""
     w, ell = float(w), float(ell)
@@ -312,18 +277,18 @@ def exponent_ours_csp(
     if w_bar is not None and not 0.0 < float(w_bar) <= w:
         raise DomainError(f"w_bar {w_bar} outside (0, w={w}]")
     wb = w if w_bar is None else float(w_bar)
-    delta_star, expo = _minimize_exponent(w, ell, epsilon, wb, grid_points)
+    delta_star, expo = _minimize_exponent(w, ell, epsilon, wb)
     return ExponentReport(
         method=OURS_CSP, epsilon=epsilon, exponent=expo, delta_star=delta_star
     )
 
 
-def exponent_ours_eksat(k: int, epsilon: float, grid_points: int = 4096) -> ExponentReport:
+def exponent_ours_eksat(k: int, epsilon: float) -> ExponentReport:
     """Sampling-algorithm exponent for exact-length-k CNF (unit weights)."""
     k = _check_k(k)
     epsilon = _check_epsilon(epsilon)
     w_bar = float((1 << k) - 1) / float(1 << k)
-    delta_star, expo = _minimize_exponent(1.0, float(k), epsilon, w_bar, grid_points)
+    delta_star, expo = _minimize_exponent(1.0, float(k), epsilon, w_bar)
     return ExponentReport(
         method=OURS_EKSAT, epsilon=epsilon, exponent=expo, k=k, delta_star=delta_star
     )

@@ -14,6 +14,7 @@ coordination: results are identical for every parallelism degree.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -142,7 +143,8 @@ def solve(
     cuts = np.linspace(0, budget, workers + 1, dtype=np.int64)
     ranges = [(int(cuts[i]), int(cuts[i + 1])) for i in range(workers)]
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the ranges alone fix the result; threads beyond the cores would only wait
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(lambda r: _scan_range(inst, cfg.seed, *r), ranges))
     else:
         parts = [_scan_range(inst, cfg.seed, lo, hi) for lo, hi in ranges]

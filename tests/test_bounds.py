@@ -153,6 +153,15 @@ class TestCountingBound:
                         ent = binary_entropy(rec.r / rec.s_size) * rec.s_size
                         assert rec.log2_count >= ent - math.log2(rec.s_size + 1) - 1e-9
 
+    @pytest.mark.parametrize("builder", [random_ekcnf, random_wcnf], ids=["unit", "real"])
+    def test_s_size_counts_contributions_at_threshold(self, builder):
+        for seed in range(4):
+            inst = builder(40, 120, 3, seed=seed)
+            for eps in [0.05, 0.5]:
+                for rec in counting_bound(inst, eps).per_delta:
+                    direct = sum(1 for c in inst.contributions if c <= rec.threshold)
+                    assert rec.s_size == direct
+
     def test_auto_grid_covers_breakpoints(self, two_triples):
         cb = counting_bound(two_triples, 0.5)
         thresholds = [rec.threshold for rec in cb.per_delta]
@@ -244,11 +253,25 @@ class TestExponents:
             b = exponent_ours_csp(1.0, float(k), eps, w_bar=((1 << k) - 1) / (1 << k)).exponent
             assert a == pytest.approx(b, abs=1e-12)
 
-    def test_grid_stability(self):
-        for k, eps in [(3, 0.1), (4, 1 / 16), (6, 0.0001)]:
-            coarse = exponent_ours_eksat(k, eps, grid_points=4096).exponent
-            fine = exponent_ours_eksat(k, eps, grid_points=8192).exponent
-            assert abs(coarse - fine) < 1e-9
+    @pytest.mark.parametrize(
+        "report, root",
+        [
+            (lambda: exponent_ours_eksat(3, 1 / 8), 1.4361249426412),
+            (lambda: exponent_ours_eksat(4, 0.04), 1.296847180705345),
+            (lambda: exponent_ours_eksat(6, 1e-4), 1.113147750606495),
+            # w_bar omitted: a == q, so the slope is +inf at the boundary
+            (lambda: exponent_ours_csp(1.0, 3.0, 0.1), 1.423426810139284),
+        ],
+        ids=["eksat_3_0.125", "eksat_4_0.04", "eksat_6_1e-4", "csp_no_wbar"],
+    )
+    def test_delta_star_matches_exact_root(self, report, root):
+        # roots of the derivative of the exponent, computed at 50 digits
+        assert abs(report().delta_star - root) < 1e-12
+
+    def test_delta_star_on_the_boundary(self):
+        # the slope is already negative at the feasibility edge delta = 1 + eps*w/ell
+        assert exponent_ours_csp(1.0, 3.0, 1.0, w_bar=0.01).delta_star == 1 + 1 / 3
+        assert exponent_ours_csp(1.0, 1.0, 1.0, w_bar=0.1).delta_star == 2.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

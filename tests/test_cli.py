@@ -197,6 +197,12 @@ class TestExponent:
         assert "delta_star=" in out
         assert "base=" in out and "x=" in out
 
+    def test_ours_delta_star_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "exponent", "--method", "ours", "--k", "3", "--eps", "0.125")
+        assert code == 0
+        assert "exponent=0.8740555" in out
+        assert "delta_star=1.436124943" in out
+
     def test_delta2(self, capsys):
         code, out, _ = run_cli(
             capsys, "exponent", "--method", "ours-delta2", "--k", "3", "--eps", "0.1"

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import tracemalloc
 
@@ -20,6 +21,7 @@ from maxcsp import (
     weight_of,
 )
 
+import maxcsp.sampler as sampler
 from conftest import clauses_instance
 
 
@@ -140,6 +142,32 @@ class TestSolve:
             trace=lambda i, w: events.append((i, w)),
         )
         assert events[-1][1] == res.best_weight
+
+    def test_threads_capped_at_cores(self, monkeypatch):
+        recorded = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", SerialPool)
+        inst = random_ekcnf(16, 20, 3, seed=9)
+        base = solve(inst, SamplerConfig(epsilon=0.05, seed=3, max_iterations=4096))
+        wide = solve(
+            inst, SamplerConfig(epsilon=0.05, seed=3, max_iterations=4096, parallelism=4096)
+        )
+        assert base.clamped and base.iterations_used == 4096
+        assert wide == base
+        assert recorded and recorded[0] <= (os.cpu_count() or 1)
 
     @pytest.mark.parametrize(
         "inst, budget",
