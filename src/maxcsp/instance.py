@@ -11,6 +11,13 @@ Conventions used throughout the package:
 * Derived sums (total weight, weighted length, per-variable contributions)
   are accumulated sequentially in constraint order, so every derived
   quantity is bit-for-bit reproducible.
+* ``weight_of`` is the scalar reference. ``weight_of_batch`` evaluates on
+  lane words (``rng.lane_words``: one word holds one variable of 64 rows),
+  turning each truth table into a few word operations by Shannon expansion,
+  and returns exactly ``weight_of``'s values: integer weights whose total is
+  at most 2**53 are counted bit-sliced, which is exact in any order, and all
+  other weights are added one constraint at a time in constraint order,
+  which repeats ``weight_of``'s float additions.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, UnsupportedError
+from .rng import lane_words, unpack_bits
 
 MAX_ARITY = 20
 
@@ -171,6 +179,10 @@ class CspInstance:
         """True when every weight is integral; such instances evaluate exactly."""
         return all(c.weight.is_integer() for c in self.constraints)
 
+    @cached_property
+    def _lane_plan(self):
+        return _lane_plan(self)
+
 
 def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> float:
     """Total weight of the constraints satisfied by ``assignment``."""
@@ -190,24 +202,226 @@ def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> floa
 def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     """Vectorized weights for a (batch, num_vars) 0/1 matrix.
 
-    Accepts any memory order and any dtype holding 0/1 values; it makes one
-    uint8 Fortran-order copy, so each variable's column is contiguous.
-    Accumulates per constraint in instance order, elementwise, so each row's
-    result is bit-identical to the scalar ``weight_of`` of that row and is
-    independent of how the batch is chunked.
+    Accepts any memory order and any dtype holding 0/1 values. The rows are
+    packed into 64-bit words and transposed into lane words
+    (``rng.lane_words``), so each constraint yields one satisfied word per 64
+    rows. Each row's result is bit-identical to the scalar ``weight_of`` of
+    that row and independent of how the batch is chunked:
+
+    * Integer weights whose integral total is at most 2**53: every partial sum
+      of ``weight_of`` is an integer of at most 2**53, hence exact, so any
+      summation order gives its value. The satisfied words are counted
+      bit-sliced per weight bit, a block of constraints at a time, and the
+      counts are unpacked once.
+    * Any other weights: ``out += weight * satisfied``, one constraint at a
+      time in instance order, which repeats ``weight_of``'s float additions.
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
-    cols = np.asfortranarray(bits, dtype=np.uint8)
-    out = np.zeros(len(cols), dtype=np.float64)
+    rows = len(bits)
+    words = np.zeros((rows, 8 * ((inst.num_vars + 63) // 64)), np.uint8)
+    words[:, : (inst.num_vars + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    lanes = lane_words(words.view("<u8"), inst.num_vars)
+    blocks, counted = inst._lane_plan
+    if counted:
+        return _counted_sum(blocks, lanes, rows)
+    out = np.zeros(rows)
+    for block in blocks:
+        for weight, word in zip(block.weights, _satisfied_words(block, lanes)):
+            out += unpack_bits(word[None], rows)[0] * weight
+    return out
+
+
+# satisfiable constraints per block: evaluated and column-summed together
+_BLOCK = 64
+# an expansion costing more word operations per variable than this loses to
+# unpacking the variables and looking each row up in the table
+_OPS_PER_VAR = 16
+_ONES = 0xFFFFFFFFFFFFFFFF
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Consecutive satisfiable constraints, grouped by expression shape.
+
+    ``groups`` holds (shape, rows, variables, negations): the block rows
+    sharing a shape and, per literal slot, their lane indices and the
+    (rows, 1) masks that negate them. ``lookups`` holds (row, table,
+    variables) for the tables evaluated by row lookup.
+    """
+
+    weights: np.ndarray
+    groups: tuple
+    lookups: tuple
+
+
+def _lane_plan(inst: CspInstance) -> tuple[list[_Block], bool]:
+    """Blocks of the satisfiable constraints, and whether the weights are counted exactly."""
+    terms = []
     for c in inst.constraints:
-        size = 1 << c.arity
-        packed = np.frombuffer(c.truth_table.to_bytes((size + 7) // 8, "little"), np.uint8)
-        table = np.unpackbits(packed, count=size, bitorder="little").view(bool)
-        t = cols[:, c.vars[0] - 1].astype(np.intp)
-        for j, v in enumerate(c.vars[1:], 1):
-            t |= cols[:, v - 1].astype(np.intp) << j
-        out += c.weight * table[t]
+        variables = tuple(v - 1 for v in c.vars)
+        found = _shannon(c.truth_table, variables, _OPS_PER_VAR * c.arity)
+        if found is None:
+            size = 1 << c.arity
+            packed = np.frombuffer(c.truth_table.to_bytes((size + 7) // 8, "little"), np.uint8)
+            table = np.unpackbits(packed, count=size, bitorder="little").view(bool)
+            terms.append((c.weight, None, (table, variables)))
+        elif found[0] is not False:
+            terms.append((c.weight, found[0], None))
+    blocks = [_block(terms[start : start + _BLOCK]) for start in range(0, len(terms), _BLOCK)]
+    counted = inst.integer_weights and sum(int(c.weight) for c in inst.constraints) <= 1 << 53
+    return blocks, counted
+
+
+def _block(terms) -> _Block:
+    shapes: dict[object, list] = {}
+    lookups = []
+    for row, (_, expr, wide) in enumerate(terms):
+        if wide is not None:
+            lookups.append((row, *wide))
+        else:
+            literals: list[int] = []
+            shapes.setdefault(_shape(expr, literals), []).append((row, literals))
+    groups = []
+    for shape, members in shapes.items():
+        rows = np.array([row for row, _ in members], np.intp)
+        literals = np.array([lits for _, lits in members], np.intp).reshape(len(members), -1)
+        variables = tuple(np.where(col < 0, ~col, col) for col in literals.T)
+        negations = tuple(np.where(col < 0, np.uint64(_ONES), np.uint64(0))[:, None] for col in literals.T)
+        groups.append((shape, rows, variables, negations))
+    return _Block(np.array([w for w, _, _ in terms]), tuple(groups), tuple(lookups))
+
+
+def _shannon(table: int, variables: tuple[int, ...], budget: int):
+    """(expression, binary word operations) for a truth table, or None past ``budget``.
+
+    Expands on the last variable x, f = x ? hi : lo, and folds constant
+    halves, so a clause costs one operation per literal after the first. An
+    expression is True or False, a literal (lane index v, or ~v for its
+    negation), or (ufunc, *operands).
+    """
+    k = len(variables)
+    if table == 0:
+        return False, 0
+    if table == (1 << (1 << k)) - 1:
+        return True, 0
+    half = 1 << (k - 1)
+    lo, hi = table & ((1 << half) - 1), table >> half
+    if lo == hi:
+        return _shannon(lo, variables[:-1], budget)
+    found = _shannon(lo, variables[:-1], budget)
+    if found is None:
+        return None
+    lo_e, cost = found
+    found = _shannon(hi, variables[:-1], budget - cost)
+    if found is None:
+        return None
+    hi_e, hi_cost = found
+    x = variables[-1]
+    if lo_e is False:
+        expr, ops = (x, 0) if hi_e is True else ((np.bitwise_and, x, hi_e), 1)
+    elif lo_e is True:
+        expr, ops = (~x, 0) if hi_e is False else ((np.bitwise_or, ~x, hi_e), 1)
+    elif hi_e is False:
+        expr, ops = (np.bitwise_and, ~x, lo_e), 1
+    elif hi_e is True:
+        expr, ops = (np.bitwise_or, x, lo_e), 1
+    else:
+        expr, ops = (np.bitwise_or, (np.bitwise_and, x, hi_e), (np.bitwise_and, ~x, lo_e)), 3
+    cost += hi_cost + ops
+    return (expr, cost) if cost <= budget else None
+
+
+def _shape(expr, literals: list[int]):
+    """``expr`` with each literal replaced by its slot number; the literals go to ``literals``."""
+    if expr is True:
+        return True
+    if type(expr) is int:
+        literals.append(expr)
+        return len(literals) - 1
+    return (expr[0], *(_shape(e, literals) for e in expr[1:]))
+
+
+def _shape_words(shape, variables, negations, lanes: np.ndarray) -> np.ndarray:
+    """(rows, words) satisfied words of the constraints sharing ``shape``."""
+    if type(shape) is int:
+        words = lanes[variables[shape]]
+        words ^= negations[shape]
+        return words
+    return shape[0](*(_shape_words(s, variables, negations, lanes) for s in shape[1:]))
+
+
+def _lookup(lanes: np.ndarray, table: np.ndarray, variables: tuple[int, ...]) -> np.ndarray:
+    """Satisfied words of a wide table: unpack its variables, look the rows up, pack back."""
+    rows = 64 * lanes.shape[1]
+    t = np.zeros(rows, np.intp)
+    for j, col in enumerate(unpack_bits(lanes[list(variables)], rows)):
+        t |= col.astype(np.intp) << j
+    return np.packbits(table[t], bitorder="little").view("<u8")
+
+
+def _satisfied_words(block: _Block, lanes: np.ndarray) -> np.ndarray:
+    """(constraints, words) satisfied words of a block, in constraint order."""
+    stack = np.empty((len(block.weights), lanes.shape[1]), np.uint64)
+    for shape, rows, variables, negations in block.groups:
+        stack[rows] = _ONES if shape is True else _shape_words(shape, variables, negations, lanes)
+    for row, table, variables in block.lookups:
+        stack[row] = _lookup(lanes, table, variables)
+    return stack
+
+
+def _add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+    """Bit-sliced a + b; a number is its list of bit planes, least significant first."""
+    if len(a) < len(b):
+        a, b = b, a
+    out, carry = [], None
+    for i, x in enumerate(a):
+        y = b[i] if i < len(b) else carry
+        if i < len(b) and carry is not None:
+            s = x ^ y
+            out.append(s ^ carry)
+            carry = (x & y) | (s & carry)
+        elif y is None:
+            out.append(x)
+        else:
+            out.append(x ^ y)
+            carry = x & y
+    if carry is not None:
+        out.append(carry)
+    return out
+
+
+def _column_sum(stack: np.ndarray) -> list[np.ndarray]:
+    """Bit planes, each (1, words), of the per-bit column sums of a (k, words) stack."""
+    planes, spare = [stack], []
+    while len(planes[0]) > 1:
+        half, odd = divmod(len(planes[0]), 2)
+        if odd:
+            spare.append([p[-1:] for p in planes])
+        planes = _add([p[:half] for p in planes], [p[half : 2 * half] for p in planes])
+    for number in spare:
+        planes = _add(planes, number)
+    return planes
+
+
+def _counted_sum(blocks: list[_Block], lanes: np.ndarray, rows: int) -> np.ndarray:
+    """Exact weights from bit-sliced counts of the satisfied constraints per weight bit."""
+    totals: dict[int, tuple[list[np.ndarray], int]] = {}
+    for block in blocks:
+        stack = _satisfied_words(block, lanes)
+        weights = block.weights.astype(np.int64)
+        for k in range(int(weights.max()).bit_length()):
+            member = (weights >> k) & 1 == 1
+            count = int(member.sum())
+            if count:
+                planes, seen = totals.get(k, ([], 0))
+                seen += count
+                block_sum = _column_sum(stack if count == len(stack) else stack[member])
+                totals[k] = (_add(planes, block_sum)[: seen.bit_length()], seen)
+    out = np.zeros(rows)
+    for k, (planes, _) in totals.items():
+        for p, plane in enumerate(planes):
+            out += unpack_bits(plane, rows)[0] * float(1 << (k + p))
     return out
 
 

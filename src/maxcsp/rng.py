@@ -6,7 +6,10 @@ be generated independently, in any order, with identical results.
 
 ``unpack_bits`` owns the layout of packed assignment words, for the sampler
 and the oracle alike: variable v (0-based) of an item is bit v % 64 of its
-word v // 64, least significant bit first.
+word v // 64, least significant bit first. ``lane_words`` turns the same
+words into the transposed, bit-sliced layout of the evaluation kernel: lane
+word (v, b) holds variable v of items 64b..64b+63, item 64b+i at bit i, so
+one word operation evaluates a constraint on 64 items at once.
 """
 
 from __future__ import annotations
@@ -17,6 +20,16 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# (shift, mask) of the six delta swaps that transpose a 64x64 bit block:
+# mask selects the bits of row i that trade places with row i + shift
+_SWAPS = (
+    (32, 0x00000000FFFFFFFF),
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
+)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -38,6 +51,34 @@ def unpack_bits(words: np.ndarray, num_vars: int) -> np.ndarray:
     return np.unpackbits(
         words.astype("<u8", copy=False).view(np.uint8), axis=1, count=num_vars, bitorder="little"
     )
+
+
+def lane_words(words: np.ndarray, num_vars: int) -> np.ndarray:
+    """(num_vars, ceil(rows / 64)) lane words from (rows, words) packed values.
+
+    Lane word (v, b) holds variable v of rows 64b..64b+63, row 64b+i at bit
+    i; rows past the end read as 0. Every 64x64 bit block is transposed in
+    place by six delta swaps, with rows held block-offset-major so that each
+    swap runs over contiguous memory.
+    """
+    rows, per_item = words.shape
+    full, tail = divmod(rows, 64)
+    # x[i, w, b] = word w of row 64b + i
+    x = np.zeros((64, per_item, full + (tail > 0)), np.uint64)
+    x[:, :, :full] = words[: 64 * full].reshape(full, 64, per_item).transpose(1, 2, 0)
+    if tail:
+        x[:tail, :, full] = words[64 * full :]
+    for shift, mask in _SWAPS:
+        pairs = x.reshape(32 // shift, 2, -1)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        t = lo >> shift
+        t ^= hi
+        t &= mask
+        hi ^= t
+        t <<= shift
+        lo ^= t
+    # now x[c, w, b] is lane word (64w + c, b)
+    return x.transpose(1, 0, 2).reshape(64 * per_item, -1)[:num_vars]
 
 
 def assignment_bits(seed: int, start: int, count: int, num_vars: int) -> np.ndarray:

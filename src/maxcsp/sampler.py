@@ -8,7 +8,8 @@ that set with probability at most fail_prob.
 
 Sample i's bits are a pure function of (seed, i) - see ``rng`` - which makes
 runs replayable and lets workers own disjoint index ranges with no
-coordination: results are identical for every parallelism degree.
+coordination: results are identical for every parallelism degree. The index
+space is cut into at most one range per core.
 """
 
 from __future__ import annotations
@@ -139,12 +140,13 @@ def solve(
     cb = counting_bound(inst, cfg.epsilon, cfg.w_bar)
     budget, clamped = _budget(inst.num_vars, cb.log2_count, cfg)
 
-    workers = min(cfg.parallelism, budget)
+    # the result does not depend on the cut; ranges beyond the cores would
+    # only wait, and split the budget into ever smaller kernel calls
+    workers = min(cfg.parallelism, budget, os.cpu_count() or 1)
     cuts = np.linspace(0, budget, workers + 1, dtype=np.int64)
     ranges = [(int(cuts[i]), int(cuts[i + 1])) for i in range(workers)]
     if workers > 1:
-        # the ranges alone fix the result; threads beyond the cores would only wait
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda r: _scan_range(inst, cfg.seed, *r), ranges))
     else:
         parts = [_scan_range(inst, cfg.seed, lo, hi) for lo, hi in ranges]

@@ -263,7 +263,7 @@ def test_clause_tables_match_literal_semantics():
 
 def test_batch_matches_scalar_exactly():
     rng = np.random.default_rng(11)
-    from maxcsp import random_csp, random_wcnf
+    from maxcsp import random_csp, random_ekcnf, random_wcnf
     from maxcsp.instance import MAX_ARITY
 
     # tables shorter than one byte (arity 1 and 2) and the widest arity
@@ -276,12 +276,30 @@ def test_batch_matches_scalar_exactly():
             Constraint(1.5, tuple(range(1, MAX_ARITY + 1)), wide_table),
         ),
     )
-    for inst in [random_wcnf(8, 12, 3, 3), random_csp(8, 12, 3, 4), wide]:
-        bits = rng.integers(0, 2, size=(40, inst.num_vars)).astype(np.uint8)
-        expected = [weight_of(inst, tuple(int(b) for b in row)) for row in bits]
-        # any memory order and any 0/1 dtype
-        for layout in (bits, np.asfortranarray(bits), bits.astype(np.int64), bits.astype(bool)):
-            assert weight_of_batch(inst, layout).tolist() == expected
+    mixed = [
+        [int(v) * int(rng.choice((-1, 1))) for v in rng.choice(12, size=size, replace=False) + 1]
+        for size in rng.integers(1, 5, size=40)
+    ]
+    integral = clauses_instance(12, mixed, [float(w) for w in rng.choice([1, 2, 7, 1000, 2**40], 40)])
+    # the exact total exceeds 2**53, so each later +1 rounds away in the
+    # ordered float sum; an exact count would disagree with weight_of
+    over = clauses_instance(12, mixed, [2.0**53] + [1.0] * 39)
+    instances = [
+        random_wcnf(8, 12, 3, 3),
+        random_csp(8, 12, 3, 4),
+        wide,
+        random_ekcnf(10, 40, 3, seed=2),
+        integral,
+        over,
+    ]
+    for inst in instances:
+        # partial lane words: 64 rows share a word
+        for rows in (0, 1, 63, 64, 65, 130):
+            bits = rng.integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
+            expected = [weight_of(inst, tuple(int(b) for b in row)) for row in bits]
+            # any memory order and any 0/1 dtype
+            for layout in (bits, np.asfortranarray(bits), bits.astype(np.int64), bits.astype(bool)):
+                assert weight_of_batch(inst, layout).tolist() == expected
 
 
 def test_batch_dimension_check(single_pair):

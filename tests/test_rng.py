@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from maxcsp.rng import assignment_bits, random_words
+from maxcsp.rng import assignment_bits, lane_words, random_words, unpack_bits
 
 
 def test_pure_function_of_seed_and_index():
@@ -48,3 +49,20 @@ def test_words_shape_and_determinism():
     assert w.dtype == np.uint64
     again = random_words(5, 12, 2, 3)
     assert np.array_equal(w[2:], again)
+
+
+@pytest.mark.parametrize("n", [1, 12, 63, 64, 65, 130])
+def test_lane_words_transpose_unpacked_bits(n):
+    # 18,863 is the desk-scale solve_ksat budget
+    for count in (1, 63, 64, 65, 18_863):
+        words = random_words(5, 100, count, (n + 63) // 64)
+        bits = unpack_bits(words, n)
+        lanes = lane_words(words, n)
+        blocks = (count + 63) // 64
+        assert lanes.shape == (n, blocks) and lanes.dtype == np.uint64
+        # bit i of lane word (v, b) is variable v of row 64b + i; rows past
+        # the end read as 0
+        padded = np.zeros((64 * blocks, n), np.uint64)
+        padded[:count] = bits
+        for i in range(64):
+            assert np.array_equal((lanes >> np.uint64(i)) & np.uint64(1), padded[i::64].T)

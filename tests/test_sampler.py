@@ -18,7 +18,9 @@ from maxcsp import (
     random_wcnf,
     solve,
     solve_ksat,
+    verify_counting_bound,
     weight_of,
+    weight_of_batch,
 )
 
 import maxcsp.sampler as sampler
@@ -143,7 +145,9 @@ class TestSolve:
         )
         assert events[-1][1] == res.best_weight
 
-    def test_threads_capped_at_cores(self, monkeypatch):
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """Runs the pool's work on the calling thread; yields each pool's max_workers."""
         recorded = []
 
         class SerialPool:
@@ -160,6 +164,9 @@ class TestSolve:
                 return map(fn, items)
 
         monkeypatch.setattr(sampler, "ThreadPoolExecutor", SerialPool)
+        return recorded
+
+    def test_threads_capped_at_cores(self, serial_pool):
         inst = random_ekcnf(16, 20, 3, seed=9)
         base = solve(inst, SamplerConfig(epsilon=0.05, seed=3, max_iterations=4096))
         wide = solve(
@@ -167,7 +174,25 @@ class TestSolve:
         )
         assert base.clamped and base.iterations_used == 4096
         assert wide == base
-        assert recorded and recorded[0] <= (os.cpu_count() or 1)
+        assert all(workers <= (os.cpu_count() or 1) for workers in serial_pool)
+
+    def test_ranges_capped_at_cores(self, serial_pool, monkeypatch):
+        calls = []
+
+        def counting(inst, bits):
+            calls.append(len(bits))
+            return weight_of_batch(inst, bits)
+
+        monkeypatch.setattr(sampler, "weight_of_batch", counting)
+        inst = random_ekcnf(16, 20, 3, seed=9)
+        base = solve(inst, SamplerConfig(epsilon=0.05, seed=3, max_iterations=4096))
+        calls.clear()
+        wide = solve(
+            inst, SamplerConfig(epsilon=0.05, seed=3, max_iterations=4096, parallelism=4096)
+        )
+        assert wide == base
+        assert 1 <= len(calls) <= (os.cpu_count() or 1)
+        assert sum(calls) == 4096
 
     @pytest.mark.parametrize(
         "inst, budget",
@@ -204,7 +229,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * inst.num_vars * samples
+        assert peak < 1.75 * inst.num_vars * samples
 
     def test_covers_whole_space_matches_oracle(self):
         inst = random_ekcnf(6, 18, 3, seed=14)

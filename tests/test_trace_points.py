@@ -1,0 +1,42 @@
+"""The names the benchmark tracer wraps (``bench/spans.py``) stay in use.
+
+The tracer replaces module attributes by name and reads row counts from the
+calls: ``rows`` from the result of ``maxcsp.sampler.assignment_bits`` and
+from the bit matrix passed to ``maxcsp.sampler.weight_of_batch``. A caller
+that bypassed or renamed one of them would leave its spans empty, so these
+wrappers must see every sampled row and every oracle enumeration.
+"""
+
+import maxcsp
+import maxcsp.oracle as oracle
+import maxcsp.sampler as sampler
+
+
+def _counting(monkeypatch, module, name, rows):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(rows(args, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_traced_names_see_every_row(monkeypatch):
+    bits = _counting(monkeypatch, sampler, "assignment_bits", lambda a, r: r.shape[0])
+    batch = _counting(monkeypatch, sampler, "weight_of_batch", lambda a, r: a[1].shape[0])
+    table = _counting(monkeypatch, oracle, "assignment_weights", lambda a, r: r.shape[0])
+
+    inst = maxcsp.random_ekcnf(12, 40, 3, seed=1)
+    res = maxcsp.solve(inst, maxcsp.SamplerConfig(epsilon=0.125, fail_prob=1e-2, seed=3))
+    # one batch per range, and one more row to rebuild the best assignment
+    assert sum(batch) == res.iterations_used
+    assert sum(bits) == res.iterations_used + 1
+    assert table == []
+
+    rep = maxcsp.verify_counting_bound(inst, 0.125)
+    assert rep.all_pass
+    assert table == [1 << inst.num_vars]
