@@ -287,7 +287,9 @@ def _block(terms) -> _Block:
         rows = np.array([row for row, _ in members], np.intp)
         literals = np.array([lits for _, lits in members], np.intp).reshape(len(members), -1)
         variables = tuple(np.where(col < 0, ~col, col) for col in literals.T)
-        negations = tuple(np.where(col < 0, np.uint64(_ONES), np.uint64(0))[:, None] for col in literals.T)
+        negations = tuple(
+            np.where(col < 0, np.uint64(_ONES), np.uint64(0))[:, None] for col in literals.T
+        )
         groups.append((shape, rows, variables, negations))
     return _Block(np.array([w for w, _, _ in terms]), tuple(groups), tuple(lookups))
 

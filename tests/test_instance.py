@@ -280,7 +280,8 @@ def test_batch_matches_scalar_exactly():
         [int(v) * int(rng.choice((-1, 1))) for v in rng.choice(12, size=size, replace=False) + 1]
         for size in rng.integers(1, 5, size=40)
     ]
-    integral = clauses_instance(12, mixed, [float(w) for w in rng.choice([1, 2, 7, 1000, 2**40], 40)])
+    weights = rng.choice([1, 2, 7, 1000, 2**40], size=40)
+    integral = clauses_instance(12, mixed, [float(w) for w in weights])
     # the exact total exceeds 2**53, so each later +1 rounds away in the
     # ordered float sum; an exact count would disagree with weight_of
     over = clauses_instance(12, mixed, [2.0**53] + [1.0] * 39)
