@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -240,8 +240,7 @@ _OPS_PER_VAR = 16
 _ONES = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """Consecutive satisfiable constraints, grouped by expression shape.
 
     ``groups`` holds (shape, rows, variables, negations): the block rows
@@ -378,16 +377,17 @@ def _add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
         a, b = b, a
     out, carry = [], None
     for i, x in enumerate(a):
-        y = b[i] if i < len(b) else carry
-        if i < len(b) and carry is not None:
+        y = b[i] if i < len(b) else None
+        if y is None and carry is None:
+            out.append(x)
+        elif y is None or carry is None:
+            z = carry if y is None else y
+            out.append(x ^ z)
+            carry = x & z
+        else:
             s = x ^ y
             out.append(s ^ carry)
             carry = (x & y) | (s & carry)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(x ^ y)
-            carry = x & y
     if carry is not None:
         out.append(carry)
     return out
@@ -412,14 +412,16 @@ def _counted_sum(blocks: list[_Block], lanes: np.ndarray, rows: int) -> np.ndarr
     for block in blocks:
         stack = _satisfied_words(block, lanes)
         weights = block.weights.astype(np.int64)
-        for k in range(int(weights.max()).bit_length()):
+        present = int(np.bitwise_or.reduce(weights))
+        for k in range(present.bit_length()):
+            if not present >> k & 1:
+                continue
             member = (weights >> k) & 1 == 1
             count = int(member.sum())
-            if count:
-                planes, seen = totals.get(k, ([], 0))
-                seen += count
-                block_sum = _column_sum(stack if count == len(stack) else stack[member])
-                totals[k] = (_add(planes, block_sum)[: seen.bit_length()], seen)
+            planes, seen = totals.get(k, ([], 0))
+            seen += count
+            block_sum = _column_sum(stack if count == len(stack) else stack[member])
+            totals[k] = (_add(planes, block_sum)[: seen.bit_length()], seen)
     out = np.zeros(rows)
     for k, (planes, _) in totals.items():
         for p, plane in enumerate(planes):

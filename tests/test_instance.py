@@ -266,30 +266,34 @@ def test_batch_matches_scalar_exactly():
     from maxcsp import random_csp, random_ekcnf, random_wcnf
     from maxcsp.instance import MAX_ARITY
 
-    # tables shorter than one byte (arity 1 and 2) and the widest arity
+    # tables shorter than one byte (arity 1 and 2), constant tables and the
+    # widest arity
     wide_table = int.from_bytes(np.random.default_rng(12).bytes(1 << (MAX_ARITY - 3)), "little")
     wide = CspInstance(
         MAX_ARITY + 2,
         (
             Constraint(0.3, (MAX_ARITY + 1,), 0b10),
             Constraint(2.7, (MAX_ARITY + 2, 3), 0b1001),
+            Constraint(0.9, (4, 5), 0b1111),
+            Constraint(0.4, (6,), 0),
             Constraint(1.5, tuple(range(1, MAX_ARITY + 1)), wide_table),
         ),
     )
     mixed = [
         [int(v) * int(rng.choice((-1, 1))) for v in rng.choice(12, size=size, replace=False) + 1]
-        for size in rng.integers(1, 5, size=40)
+        for size in rng.integers(1, 5, size=150)
     ]
-    weights = rng.choice([1, 2, 7, 1000, 2**40], size=40)
+    weights = rng.choice([1, 2, 7, 1000, 2**40], size=150)
     integral = clauses_instance(12, mixed, [float(w) for w in weights])
     # the exact total exceeds 2**53, so each later +1 rounds away in the
     # ordered float sum; an exact count would disagree with weight_of
-    over = clauses_instance(12, mixed, [2.0**53] + [1.0] * 39)
+    over = clauses_instance(12, mixed, [2.0**53] + [1.0] * 149)
     instances = [
         random_wcnf(8, 12, 3, 3),
         random_csp(8, 12, 3, 4),
         wide,
-        random_ekcnf(10, 40, 3, seed=2),
+        # more constraints than one evaluation block
+        random_ekcnf(10, 150, 3, seed=2),
         integral,
         over,
     ]

@@ -18,7 +18,6 @@ from maxcsp import (
     random_wcnf,
     solve,
     solve_ksat,
-    verify_counting_bound,
     weight_of,
     weight_of_batch,
 )
@@ -174,7 +173,8 @@ class TestSolve:
         )
         assert base.clamped and base.iterations_used == 4096
         assert wide == base
-        assert all(workers <= (os.cpu_count() or 1) for workers in serial_pool)
+        cores = os.cpu_count() or 1
+        assert serial_pool == ([cores] if cores > 1 else [])
 
     def test_ranges_capped_at_cores(self, serial_pool, monkeypatch):
         calls = []
@@ -183,16 +183,24 @@ class TestSolve:
             calls.append(len(bits))
             return weight_of_batch(inst, bits)
 
+        def run(workers):
+            calls.clear()
+            events = []
+            cfg = SamplerConfig(epsilon=0.05, seed=3, max_iterations=4096, parallelism=workers)
+            res = solve(inst, cfg, trace=lambda i, w: events.append((i, w)))
+            assert sum(calls) == 4096
+            return res, events
+
         monkeypatch.setattr(sampler, "weight_of_batch", counting)
         inst = random_ekcnf(16, 20, 3, seed=9)
-        base = solve(inst, SamplerConfig(epsilon=0.05, seed=3, max_iterations=4096))
-        calls.clear()
-        wide = solve(
-            inst, SamplerConfig(epsilon=0.05, seed=3, max_iterations=4096, parallelism=4096)
-        )
-        assert wide == base
+        base = run(1)
+        assert run(4096) == base
         assert 1 <= len(calls) <= (os.cpu_count() or 1)
-        assert sum(calls) == 4096
+        # on an 8-core host the ranges are cut 3 and 8 ways, with equal results
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for workers, ranges in ((3, 3), (4096, 8)):
+            assert run(workers) == base
+            assert len(calls) == ranges
 
     @pytest.mark.parametrize(
         "inst, budget",
