@@ -12,7 +12,7 @@ Conventions used throughout the package:
   are accumulated sequentially in constraint order, so every derived
   quantity is bit-for-bit reproducible.
 * ``weight_of`` is the scalar reference. ``weight_of_batch`` evaluates on
-  lane words (``rng.lane_words``: one word holds one variable of 64 rows),
+  lane words (``rng.pack_lanes``: one word holds one variable of 64 rows),
   turning each truth table into a few word operations by Shannon expansion,
   and returns exactly ``weight_of``'s values: integer weights whose total is
   at most 2**53 are counted bit-sliced, which is exact in any order, and all
@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, UnsupportedError
-from .rng import lane_words, unpack_bits
+from .rng import pack_lanes, unpack_bits
 
 MAX_ARITY = 20
 
@@ -202,11 +202,12 @@ def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> floa
 def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     """Vectorized weights for a (batch, num_vars) 0/1 matrix.
 
-    Accepts any memory order and any dtype holding 0/1 values. The rows are
-    packed into 64-bit words and transposed into lane words
-    (``rng.lane_words``), so each constraint yields one satisfied word per 64
-    rows. Each row's result is bit-identical to the scalar ``weight_of`` of
-    that row and independent of how the batch is chunked:
+    Accepts any memory order and any dtype holding 0/1 values; a
+    Fortran-order matrix, as ``rng.assignment_bits`` returns, packs fastest.
+    The columns are packed into lane words (``rng.pack_lanes``), so each
+    constraint yields one satisfied word per 64 rows. Each row's result is
+    bit-identical to the scalar ``weight_of`` of that row and independent of
+    how the batch is chunked:
 
     * Integer weights whose integral total is at most 2**53: every partial sum
       of ``weight_of`` is an integer of at most 2**53, hence exact, so any
@@ -218,10 +219,11 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
-    rows = len(bits)
-    words = np.zeros((rows, 8 * ((inst.num_vars + 63) // 64)), np.uint8)
-    words[:, : (inst.num_vars + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    lanes = lane_words(words.view("<u8"), inst.num_vars)
+    return _lane_weights(inst, pack_lanes(bits), len(bits))
+
+
+def _lane_weights(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
+    """Weights of the first ``rows`` items of (num_vars, words) lane words."""
     blocks, counted = inst._lane_plan
     if counted:
         return _counted_sum(blocks, lanes, rows)

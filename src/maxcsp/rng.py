@@ -4,12 +4,14 @@ SplitMix64: the value at counter c is finalize(seed + (c+1)*GAMMA). Every
 output is a pure function of (seed, counter), so disjoint index ranges can
 be generated independently, in any order, with identical results.
 
-``unpack_bits`` owns the layout of packed assignment words, for the sampler
-and the oracle alike: variable v (0-based) of an item is bit v % 64 of its
-word v // 64, least significant bit first. ``lane_words`` turns the same
-words into the transposed, bit-sliced layout of the evaluation kernel: lane
-word (v, b) holds variable v of items 64b..64b+63, item 64b+i at bit i, so
-one word operation evaluates a constraint on 64 items at once.
+``unpack_bits`` is the only decoder of packed words, least significant bit
+first. An item's random words hold variable v (0-based) at bit v % 64 of
+word v // 64. ``lane_words`` turns them into the transposed, bit-sliced
+layout of the evaluation kernel: lane word (v, b) holds variable v of items
+64b..64b+63, item 64b+i at bit i, so one word operation evaluates a
+constraint on 64 items at once. ``assignment_bits`` decodes the lanes, so
+its matrix is variable-major (Fortran order), and ``pack_lanes`` packs such
+a matrix back into lanes with one ``np.packbits`` along the sample axis.
 """
 
 from __future__ import annotations
@@ -81,10 +83,31 @@ def lane_words(words: np.ndarray, num_vars: int) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(64 * per_item, -1)[:num_vars]
 
 
+def pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """(num_vars, ceil(rows / 64)) lane words of a (rows, num_vars) 0/1 matrix.
+
+    A Fortran-order matrix holds each variable's column contiguously, so one
+    ``np.packbits`` along the sample axis yields the lanes' bytes. Any other
+    layout is packed by rows into item words and transposed by
+    ``lane_words``.
+    """
+    rows, num_vars = bits.shape
+    if not bits.flags.f_contiguous:
+        words = np.zeros((rows, 8 * ((num_vars + 63) // 64)), np.uint8)
+        words[:, : (num_vars + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+        return lane_words(words.view("<u8"), num_vars)
+    lanes = np.zeros((num_vars, 8 * ((rows + 63) // 64)), np.uint8)
+    lanes[:, : (rows + 7) // 8] = np.packbits(bits, axis=0, bitorder="little").T
+    return lanes.view("<u8")
+
+
 def assignment_bits(seed: int, start: int, count: int, num_vars: int) -> np.ndarray:
-    """(count, num_vars) uint8 matrix of uniform assignment bits.
+    """(count, num_vars) uint8 matrix of uniform assignment bits, in Fortran order.
 
     Row i holds the assignment for iteration index start+i; it depends only
-    on (seed, start+i), never on the batch boundaries.
+    on (seed, start+i), never on the batch boundaries. Variable v of the row
+    is bit v % 64 of the item's random word v // 64; the bits are decoded
+    from lane words, so each variable's column is contiguous.
     """
-    return unpack_bits(random_words(seed, start, count, (num_vars + 63) // 64), num_vars)
+    words = random_words(seed, start, count, (num_vars + 63) // 64)
+    return unpack_bits(lane_words(words, num_vars), count).T

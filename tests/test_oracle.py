@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,10 @@ from maxcsp import (
     verify_entropy_scaling,
     verify_counting_bound,
     weight_of,
+    weight_of_batch,
 )
+from maxcsp.oracle import _enumeration_lanes
+from maxcsp.rng import lane_words, unpack_bits
 
 from conftest import clauses_instance
 
@@ -49,10 +53,10 @@ class TestBruteForce:
 
     def test_table_matches_scalar_weight_of(self):
         # the batched enumeration is bit-identical to direct evaluation,
-        # integral weights or not
-        for i in range(6):
+        # integral weights or not; below n=6 the one lane block is partial
+        for n, i in itertools.product((1, 3, 6, 7), range(6)):
             builder = (random_ekcnf, random_wcnf, random_csp)[i % 3]
-            inst = builder(7, 12, 3, seed=50 + i)
+            inst = builder(n, 12, min(3, n), seed=50 + i)
             table = assignment_weights(inst)
             naive = np.array(
                 [
@@ -60,7 +64,23 @@ class TestBruteForce:
                     for z in range(1 << inst.num_vars)
                 ]
             )
-            assert np.array_equal(table, naive), (i, inst.integer_weights)
+            assert np.array_equal(table, naive), (n, i, inst.integer_weights)
+
+    def test_table_across_chunks_matches_weight_of_batch(self):
+        # 2^17 assignments take two enumeration chunks
+        for builder in (random_ekcnf, random_wcnf):
+            inst = builder(17, 60, 3, seed=3)
+            z = np.arange(1 << 17, dtype=np.uint64)[:, None]
+            batch = weight_of_batch(inst, unpack_bits(z, 17))
+            assert np.array_equal(assignment_weights(inst), batch)
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 7, 20])
+    def test_enumeration_lanes_closed_form(self, n):
+        for start in (0, 65_536):
+            for count in (1, 37, 64, 100, 65_536):
+                z = np.arange(start, start + count, dtype=np.uint64)[:, None]
+                lanes = _enumeration_lanes(start, count, n)
+                assert np.array_equal(lanes, lane_words(z, n)), (start, count)
 
 
 class TestCountNearOptimal:

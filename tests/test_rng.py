@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxcsp.rng import assignment_bits, lane_words, random_words, unpack_bits
+from maxcsp.rng import assignment_bits, lane_words, pack_lanes, random_words, unpack_bits
 
 
 def test_pure_function_of_seed_and_index():
@@ -52,6 +52,16 @@ def test_words_shape_and_determinism():
 
 
 @pytest.mark.parametrize("n", [1, 12, 63, 64, 65, 130])
+def test_assignment_bits_decode_item_words_in_fortran_order(n):
+    # 100 is not a multiple of 64, so lane blocks straddle item indices
+    for count in (0, 1, 63, 64, 65, 18_863):
+        bits = assignment_bits(5, 100, count, n)
+        words = random_words(5, 100, count, (n + 63) // 64)
+        assert bits.dtype == np.uint8 and bits.flags.f_contiguous
+        assert np.array_equal(bits, unpack_bits(words, n))
+
+
+@pytest.mark.parametrize("n", [1, 12, 63, 64, 65, 130])
 def test_lane_words_transpose_unpacked_bits(n):
     # 18,863 is the desk-scale solve_ksat budget
     for count in (1, 63, 64, 65, 18_863):
@@ -66,3 +76,12 @@ def test_lane_words_transpose_unpacked_bits(n):
         padded[:count] = bits
         for i in range(64):
             assert np.array_equal((lanes >> np.uint64(i)) & np.uint64(1), padded[i::64].T)
+        # pack_lanes packs a bit matrix into the same lanes, whatever its layout
+        for layout in (
+            np.asfortranarray(bits),
+            np.ascontiguousarray(bits),
+            np.asfortranarray(bits, dtype=np.int64),
+            bits.astype(bool),
+        ):
+            assert np.array_equal(pack_lanes(layout), lanes)
+        assert np.array_equal(pack_lanes(np.asfortranarray(bits)[::2]), lane_words(words[::2], n))

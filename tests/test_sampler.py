@@ -237,7 +237,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * inst.num_vars * samples
+        assert peak < 1.4 * inst.num_vars * samples
 
     def test_covers_whole_space_matches_oracle(self):
         inst = random_ekcnf(6, 18, 3, seed=14)

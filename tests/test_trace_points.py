@@ -4,7 +4,9 @@ The tracer replaces module attributes by name and reads row counts from the
 calls: ``rows`` from the result of ``maxcsp.sampler.assignment_bits`` and
 from the bit matrix passed to ``maxcsp.sampler.weight_of_batch``. A caller
 that bypassed or renamed one of them would leave its spans empty, so these
-wrappers must see every sampled row and every oracle enumeration.
+wrappers must see every sampled row and every oracle enumeration. The
+matrices the sampler hands to the kernel must stay in Fortran order, the
+layout it packs fastest.
 """
 
 import maxcsp
@@ -27,13 +29,21 @@ def _counting(monkeypatch, module, name, rows):
 
 def test_traced_names_see_every_row(monkeypatch):
     bits = _counting(monkeypatch, sampler, "assignment_bits", lambda a, r: r.shape[0])
-    batch = _counting(monkeypatch, sampler, "weight_of_batch", lambda a, r: a[1].shape[0])
+    batch = _counting(
+        monkeypatch,
+        sampler,
+        "weight_of_batch",
+        lambda a, r: (a[1].shape[0], a[1].flags.f_contiguous),
+    )
     table = _counting(monkeypatch, oracle, "assignment_weights", lambda a, r: r.shape[0])
 
     inst = maxcsp.random_ekcnf(12, 40, 3, seed=1)
     res = maxcsp.solve(inst, maxcsp.SamplerConfig(epsilon=0.125, fail_prob=1e-2, seed=3))
     # one batch per range, and one more row to rebuild the best assignment
-    assert sum(batch) == res.iterations_used
+    assert sum(rows for rows, _ in batch) == res.iterations_used
+    # the kernel packs Fortran-order bits with one packbits per chunk; any
+    # other layout takes the slower row-pack and transpose
+    assert all(f_contiguous for _, f_contiguous in batch)
     assert sum(bits) == res.iterations_used + 1
     assert table == []
 
