@@ -219,11 +219,15 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
-    return _lane_weights(inst, pack_lanes(bits), len(bits))
+    return weight_of_lanes(inst, pack_lanes(bits), len(bits))
 
 
-def _lane_weights(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
-    """Weights of the first ``rows`` items of (num_vars, words) lane words."""
+def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
+    """Weights of the first ``rows`` items of (num_vars, words) lane words.
+
+    Lane word (v, b) holds variable v of items 64b..64b+63, item 64b+i at
+    bit i (``rng.lane_words``); the values are ``weight_of_batch``'s.
+    """
     blocks, counted = inst._lane_plan
     if counted:
         return _counted_sum(blocks, lanes, rows)

@@ -1,12 +1,11 @@
 """Brute-force ground truth for desk-scale instances.
 
 Enumerates all 2^n assignments in chunks through the same vectorized
-kernel the sampler uses (``weight_of_batch``'s lane evaluation), so the
-weight table is bit-identical to the scalar ``weight_of`` of every
-assignment, integral weights or not. Nothing is cached: each call
-enumerates afresh. The lanes of a run of consecutive packed values have a
-closed form and are built directly: below bit 6 each variable repeats a
-fixed 64-bit pattern, and above it each is constant over a 64-value block.
+kernel the sampler uses (``instance.weight_of_lanes``, behind
+``weight_of_batch``), so the weight table is bit-identical to the scalar
+``weight_of`` of every assignment, integral weights or not. Nothing is
+cached: each call enumerates afresh. A chunk's lanes are built in closed
+form by ``rng.enumeration_lanes``, with no bit matrix in between.
 
 On top of the exact weight table this module checks, constant-free, the
 records of ``counting_bound`` itself: for every threshold it evaluates,
@@ -25,38 +24,12 @@ import numpy as np
 
 from .bounds import binomial_sum, counting_bound, entropy_scaling_gap
 from .errors import DomainError, SizeError
-from .instance import Assignment, CspInstance, _lane_weights
+from .instance import Assignment, CspInstance, weight_of_lanes
+from .rng import enumeration_lanes
 
 ORACLE_CAP = 24
 # a multiple of 64, so every chunk starts at a lane-word boundary
 _CHUNK = 1 << 16
-# lane word of variable v < 6 for any 64 consecutive values from a multiple of 64
-_LOW_LANES = np.array(
-    [
-        0xAAAAAAAAAAAAAAAA,
-        0xCCCCCCCCCCCCCCCC,
-        0xF0F0F0F0F0F0F0F0,
-        0xFF00FF00FF00FF00,
-        0xFFFF0000FFFF0000,
-        0xFFFFFFFF00000000,
-    ],
-    np.uint64,
-)
-
-
-def _enumeration_lanes(start: int, count: int, num_vars: int) -> np.ndarray:
-    """``lane_words`` of the packed values start..start+count-1, for start a multiple of 64."""
-    blocks = np.arange(start // 64, (start + count + 63) // 64, dtype=np.uint64)
-    lanes = np.empty((num_vars, len(blocks)), np.uint64)
-    lanes[:6] = _LOW_LANES[:num_vars, None]
-    if num_vars > 6:
-        high = np.arange(num_vars - 6, dtype=np.uint64)[:, None]
-        lanes[6:] = (blocks >> high) & np.uint64(1)
-        lanes[6:] *= np.uint64(0xFFFFFFFFFFFFFFFF)
-    if count % 64:
-        # values past the end read as 0
-        lanes[:, -1] &= np.uint64((1 << count % 64) - 1)
-    return lanes
 
 
 def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
@@ -68,8 +41,8 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
     out = np.empty(size, dtype=np.float64)
     for start in range(0, size, _CHUNK):
         count = min(_CHUNK, size - start)
-        lanes = _enumeration_lanes(start, count, n)
-        out[start : start + count] = _lane_weights(inst, lanes, count)
+        lanes = enumeration_lanes(start, count, n)
+        out[start : start + count] = weight_of_lanes(inst, lanes, count)
     return out
 
 

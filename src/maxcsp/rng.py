@@ -12,6 +12,8 @@ layout of the evaluation kernel: lane word (v, b) holds variable v of items
 constraint on 64 items at once. ``assignment_bits`` decodes the lanes, so
 its matrix is variable-major (Fortran order), and ``pack_lanes`` packs such
 a matrix back into lanes with one ``np.packbits`` along the sample axis.
+``enumeration_lanes`` gives the lanes of the consecutive values start,
+start+1, ... in closed form, for the exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ _SWAPS = (
     (4, 0x0F0F0F0F0F0F0F0F),
     (2, 0x3333333333333333),
     (1, 0x5555555555555555),
+)
+# lane word of variable v < 6 for the 64 consecutive values of any block
+_LOW_LANES = np.array(
+    [
+        0xAAAAAAAAAAAAAAAA,
+        0xCCCCCCCCCCCCCCCC,
+        0xF0F0F0F0F0F0F0F0,
+        0xFF00FF00FF00FF00,
+        0xFFFF0000FFFF0000,
+        0xFFFFFFFF00000000,
+    ],
+    np.uint64,
 )
 
 
@@ -86,19 +100,35 @@ def lane_words(words: np.ndarray, num_vars: int) -> np.ndarray:
 def pack_lanes(bits: np.ndarray) -> np.ndarray:
     """(num_vars, ceil(rows / 64)) lane words of a (rows, num_vars) 0/1 matrix.
 
-    A Fortran-order matrix holds each variable's column contiguously, so one
-    ``np.packbits`` along the sample axis yields the lanes' bytes. Any other
-    layout is packed by rows into item words and transposed by
-    ``lane_words``.
+    In Fortran order each variable's column is contiguous, so one
+    ``np.packbits`` along the sample axis yields the lanes' bytes. A matrix
+    in any other layout is copied into Fortran order first.
     """
     rows, num_vars = bits.shape
-    if not bits.flags.f_contiguous:
-        words = np.zeros((rows, 8 * ((num_vars + 63) // 64)), np.uint8)
-        words[:, : (num_vars + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-        return lane_words(words.view("<u8"), num_vars)
     lanes = np.zeros((num_vars, 8 * ((rows + 63) // 64)), np.uint8)
-    lanes[:, : (rows + 7) // 8] = np.packbits(bits, axis=0, bitorder="little").T
+    packed = np.packbits(np.asfortranarray(bits), axis=0, bitorder="little")
+    lanes[:, : (rows + 7) // 8] = packed.T
     return lanes.view("<u8")
+
+
+def enumeration_lanes(start: int, count: int, num_vars: int) -> np.ndarray:
+    """``lane_words`` of the packed values start..start+count-1, for start a multiple of 64.
+
+    Below bit 6 each variable repeats a fixed pattern in every lane word;
+    variable v >= 6 is constant over a word, set by bit v - 6 of its block
+    index (start // 64 + b).
+    """
+    blocks = np.arange(start // 64, (start + count + 63) // 64, dtype=np.uint64)
+    lanes = np.empty((num_vars, len(blocks)), np.uint64)
+    lanes[:6] = _LOW_LANES[:num_vars, None]
+    if num_vars > 6:
+        high = np.arange(num_vars - 6, dtype=np.uint64)[:, None]
+        lanes[6:] = (blocks >> high) & np.uint64(1)
+        lanes[6:] *= np.uint64(_MASK64)
+    if count % 64:
+        # values past the end read as 0
+        lanes[:, -1] &= np.uint64((1 << count % 64) - 1)
+    return lanes
 
 
 def assignment_bits(seed: int, start: int, count: int, num_vars: int) -> np.ndarray:

@@ -23,8 +23,7 @@ from maxcsp import (
     weight_of,
     weight_of_batch,
 )
-from maxcsp.oracle import _enumeration_lanes
-from maxcsp.rng import lane_words, unpack_bits
+from maxcsp.rng import unpack_bits
 
 from conftest import clauses_instance
 
@@ -73,14 +72,6 @@ class TestBruteForce:
             z = np.arange(1 << 17, dtype=np.uint64)[:, None]
             batch = weight_of_batch(inst, unpack_bits(z, 17))
             assert np.array_equal(assignment_weights(inst), batch)
-
-    @pytest.mark.parametrize("n", [1, 5, 6, 7, 20])
-    def test_enumeration_lanes_closed_form(self, n):
-        for start in (0, 65_536):
-            for count in (1, 37, 64, 100, 65_536):
-                z = np.arange(start, start + count, dtype=np.uint64)[:, None]
-                lanes = _enumeration_lanes(start, count, n)
-                assert np.array_equal(lanes, lane_words(z, n)), (start, count)
 
 
 class TestCountNearOptimal:

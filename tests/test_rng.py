@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from maxcsp.rng import assignment_bits, lane_words, pack_lanes, random_words, unpack_bits
+from maxcsp.rng import (
+    assignment_bits,
+    enumeration_lanes,
+    lane_words,
+    pack_lanes,
+    random_words,
+    unpack_bits,
+)
 
 
 def test_pure_function_of_seed_and_index():
@@ -85,3 +92,13 @@ def test_lane_words_transpose_unpacked_bits(n):
         ):
             assert np.array_equal(pack_lanes(layout), lanes)
         assert np.array_equal(pack_lanes(np.asfortranarray(bits)[::2]), lane_words(words[::2], n))
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 20])
+def test_enumeration_lanes_closed_form(n):
+    # the lanes of consecutive packed values, as the oracle enumerates them
+    for start in (0, 65_536):
+        for count in (1, 37, 64, 100, 65_536):
+            z = np.arange(start, start + count, dtype=np.uint64)[:, None]
+            lanes = enumeration_lanes(start, count, n)
+            assert np.array_equal(lanes, lane_words(z, n)), (start, count)
