@@ -231,10 +231,11 @@ def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarr
     blocks, counted = inst._lane_plan
     if counted:
         return _counted_sum(blocks, lanes, rows)
-    out = np.zeros(rows)
+    out, term = np.zeros(rows), np.empty(rows)
     for block in blocks:
-        for weight, word in zip(block.weights, _satisfied_words(block, lanes)):
-            out += unpack_bits(word[None], rows)[0] * weight
+        satisfied = unpack_bits(_satisfied_words(block, lanes), rows)
+        for weight, bits in zip(block.weights, satisfied):
+            out += np.multiply(bits, weight, out=term)
     return out
 
 
@@ -428,10 +429,14 @@ def _counted_sum(blocks: list[_Block], lanes: np.ndarray, rows: int) -> np.ndarr
             seen += count
             block_sum = _column_sum(stack if count == len(stack) else stack[member])
             totals[k] = (_add(planes, block_sum)[: seen.bit_length()], seen)
-    out = np.zeros(rows)
-    for k, (planes, _) in totals.items():
-        for p, plane in enumerate(planes):
-            out += unpack_bits(plane, rows)[0] * float(1 << (k + p))
+    out, term = np.zeros(rows), np.empty(rows)
+    for k, (planes, seen) in totals.items():
+        # the count of weight bit k, most significant plane first
+        count = np.zeros(rows, np.min_scalar_type(seen))
+        for plane in unpack_bits(np.concatenate(planes[::-1]), rows):
+            count <<= 1
+            count |= plane
+        out += np.multiply(count, float(1 << k), out=term)
     return out
 
 

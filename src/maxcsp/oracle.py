@@ -38,7 +38,12 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
     if n > cap:
         raise SizeError(f"{n} variables exceed the enumeration cap {cap}")
     size = 1 << n
-    out = np.empty(size, dtype=np.float64)
+    try:
+        out = np.empty(size, dtype=np.float64)
+    except (MemoryError, ValueError) as exc:
+        # numpy raises MemoryError when the host refuses the table, and
+        # ValueError when its byte size does not fit in an address
+        raise SizeError(f"no memory for the 2^{n}-entry weight table: {exc}") from exc
     for start in range(0, size, _CHUNK):
         count = min(_CHUNK, size - start)
         lanes = enumeration_lanes(start, count, n)

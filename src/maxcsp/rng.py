@@ -48,18 +48,24 @@ _LOW_LANES = np.array(
 )
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
-
-
 def random_words(seed: int, start: int, count: int, words_per_item: int) -> np.ndarray:
-    """(count, words_per_item) uint64 block for item indices [start, start+count)."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    c = idx[:, None] * np.uint64(words_per_item) + np.arange(words_per_item, dtype=np.uint64)[None, :]
-    x = np.uint64(seed & _MASK64) + (c + np.uint64(1)) * _GAMMA
-    return _mix(x)
+    """(count, words_per_item) uint64 block for item indices [start, start+count).
+
+    Word w of item i has counter i * words_per_item + w, taken modulo 2**64,
+    so an item's words are consecutive counters.
+    """
+    x = np.arange(count * words_per_item, dtype=np.uint64)
+    x += np.uint64((start * words_per_item + 1) & _MASK64)
+    x *= _GAMMA
+    x += np.uint64(seed & _MASK64)
+    # the SplitMix64 finalizer, in place, with one scratch buffer
+    t = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=t)
+    x *= _MIX1
+    x ^= np.right_shift(x, np.uint64(27), out=t)
+    x *= _MIX2
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x.reshape(count, words_per_item)
 
 
 def unpack_bits(words: np.ndarray, num_vars: int) -> np.ndarray:

@@ -9,7 +9,11 @@ that set with probability at most fail_prob.
 Sample i's bits are a pure function of (seed, i) - see ``rng`` - which makes
 runs replayable and lets workers own disjoint index ranges with no
 coordination: results are identical for every parallelism degree. The index
-space is cut into at most one range per core.
+space is cut into at most one range per core. A range is scanned in chunks
+whose (rows, n) uint8 bit matrix fits in 2**24 bytes: the largest multiple
+of 64 rows within that budget, clamped to [64, 65,536]. So a worker's
+working set stays bounded as n grows (65,536 rows up to n = 256, 16,768 at
+n = 1000), and the chunk size, like the cut, never changes a result.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from .instance import (
 )
 from .rng import assignment_bits
 
-_CHUNK = 1 << 16
+# bytes of a chunk's bit matrix (rows * num_vars), which bounds a worker's
+# working set at any n
+_CHUNK_BYTES = 1 << 24
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -111,11 +117,13 @@ def _scan_range(inst: CspInstance, seed: int, lo: int, hi: int) -> list[tuple[in
 
     The last event is the range's best, earliest index among equal weights.
     """
+    n = inst.num_vars
+    chunk = min(1 << 16, max(64, _CHUNK_BYTES // n // 64 * 64))
     events: list[tuple[int, float]] = []
     best_w = -math.inf
-    for start in range(lo, hi, _CHUNK):
-        count = min(_CHUNK, hi - start)
-        weights = weight_of_batch(inst, assignment_bits(seed, start, count, inst.num_vars))
+    for start in range(lo, hi, chunk):
+        count = min(chunk, hi - start)
+        weights = weight_of_batch(inst, assignment_bits(seed, start, count, n))
         running = np.maximum.accumulate(np.concatenate(([best_w], weights)))[:-1]
         for j in np.flatnonzero(weights > running):
             events.append((start + int(j), float(weights[j])))

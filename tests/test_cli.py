@@ -274,6 +274,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", str(p), "--eps", "0.5", "--max-n", "12")
         assert code == 4
 
+    def test_table_too_large_maps_to_domain_exit(self, tmp_path, capsys):
+        # numpy rejects a 2^60-entry table before it allocates anything
+        from maxcsp import random_ekcnf, serialize
+
+        p = tmp_path / "n60.cnf"
+        p.write_text(serialize(random_ekcnf(60, 100, 3, seed=0), "cnf"), encoding="utf-8")
+        code, _, err = run_cli(capsys, "verify", str(p), "--eps", "0.5", "--max-n", "60")
+        assert code == 4
+        assert err.startswith("error: ") and "2^60" in err
+
 
 def test_import_needs_only_numpy():
     # numpy is the only runtime dependency; importing the package must not

@@ -294,6 +294,8 @@ def test_batch_matches_scalar_exactly():
         wide,
         # more constraints than one evaluation block
         random_ekcnf(10, 150, 3, seed=2),
+        # more than 255 unit clauses: a row's count needs more than 8 bits
+        random_ekcnf(10, 600, 3, seed=3),
         integral,
         over,
     ]

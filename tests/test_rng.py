@@ -58,6 +58,33 @@ def test_words_shape_and_determinism():
     assert np.array_equal(w[2:], again)
 
 
+def _splitmix64(seed: int, counter: int) -> int:
+    """Reference in Python integers: finalize(seed + (counter + 1) * GAMMA) mod 2**64."""
+    mask = (1 << 64) - 1
+    x = (seed + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+def test_splitmix64_reference_first_output():
+    # the published first output of SplitMix64 from state 0
+    assert _splitmix64(0, 0) == 0xE220A8397B1DCDAF
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**63])
+def test_random_words_match_reference(seed, start):
+    # at start 2**63 with 3 words per item the counters pass 2**64 and wrap
+    for per_item in (1, 3, 16):
+        for count in (1, 5):
+            expected = [
+                [_splitmix64(seed, (start + i) * per_item + w) for w in range(per_item)]
+                for i in range(count)
+            ]
+            assert random_words(seed, start, count, per_item).tolist() == expected
+
+
 @pytest.mark.parametrize("n", [1, 12, 63, 64, 65, 130])
 def test_assignment_bits_decode_item_words_in_fortran_order(n):
     # 100 is not a multiple of 64, so lane blocks straddle item indices

@@ -228,6 +228,44 @@ class TestSolve:
         for workers in (2, 3, 8):
             assert run(workers) == base
 
+    @pytest.mark.parametrize("rows", [64, 640])
+    def test_chunk_size_never_changes_result(self, monkeypatch, rows):
+        inst = random_ekcnf(16, 60, 3, seed=4)
+        sizes = []
+
+        def counting(inst, bits):
+            sizes.append(len(bits))
+            return weight_of_batch(inst, bits)
+
+        def run(workers):
+            events = []
+            cfg = SamplerConfig(epsilon=0.01, seed=3, max_iterations=5000, parallelism=workers)
+            res = solve(inst, cfg, trace=lambda i, w: events.append((i, w)))
+            assert res.clamped
+            return res, events
+
+        monkeypatch.setattr(sampler, "weight_of_batch", counting)
+        # three ranges even on a host with fewer cores
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        base = run(1)
+        assert sizes == [5000]
+        monkeypatch.setattr(sampler, "_CHUNK_BYTES", rows * inst.num_vars)
+        for workers in (1, 3):
+            sizes.clear()
+            assert run(workers) == base
+            assert max(sizes) == rows and sum(sizes) == 5000
+
+    def test_chunk_memory_bounded_as_n_grows(self):
+        # a fixed 65,536-row chunk peaks at 157 MiB on this instance
+        inst = random_wcnf(4000, 300, 5, seed=1)
+        tracemalloc.start()
+        try:
+            solve(inst, SamplerConfig(epsilon=0.01, seed=0, max_iterations=32_768))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
     def test_chunk_memory_per_variable_per_sample(self):
         inst = random_wcnf(2000, 300, 5, seed=1)
         samples = 8192
