@@ -226,21 +226,28 @@ def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarr
     """Weights of the first ``rows`` items of (num_vars, words) lane words.
 
     Lane word (v, b) holds variable v of items 64b..64b+63, item 64b+i at
-    bit i (``rng.lane_words``); the values are ``weight_of_batch``'s.
+    bit i (``rng``: ``assignment_bits`` draws them, ``pack_lanes`` packs a
+    matrix into them); the values are ``weight_of_batch``'s. The float path
+    unpacks the satisfied words a few constraints at a time, in constraint
+    order, so it holds a few bytes per row rather than one per constraint.
     """
     blocks, counted = inst._lane_plan
     if counted:
         return _counted_sum(blocks, lanes, rows)
     out, term = np.zeros(rows), np.empty(rows)
     for block in blocks:
-        satisfied = unpack_bits(_satisfied_words(block, lanes), rows)
-        for weight, bits in zip(block.weights, satisfied):
-            out += np.multiply(bits, weight, out=term)
+        stack = _satisfied_words(block, lanes)
+        for k in range(0, len(stack), _UNPACK):
+            satisfied = unpack_bits(stack[k : k + _UNPACK], rows)
+            for weight, bits in zip(block.weights[k : k + _UNPACK], satisfied):
+                out += np.multiply(bits, weight, out=term)
     return out
 
 
 # satisfiable constraints per block: evaluated and column-summed together
 _BLOCK = 64
+# satisfied words unpacked at once on the float path
+_UNPACK = 8
 # an expansion costing more word operations per variable than this loses to
 # unpacking the variables and looking each row up in the table
 _OPS_PER_VAR = 16

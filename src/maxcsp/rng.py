@@ -4,16 +4,17 @@ SplitMix64: the value at counter c is finalize(seed + (c+1)*GAMMA). Every
 output is a pure function of (seed, counter), so disjoint index ranges can
 be generated independently, in any order, with identical results.
 
-``unpack_bits`` is the only decoder of packed words, least significant bit
-first. An item's random words hold variable v (0-based) at bit v % 64 of
-word v // 64. ``lane_words`` turns them into the transposed, bit-sliced
-layout of the evaluation kernel: lane word (v, b) holds variable v of items
-64b..64b+63, item 64b+i at bit i, so one word operation evaluates a
-constraint on 64 items at once. ``assignment_bits`` decodes the lanes, so
-its matrix is variable-major (Fortran order), and ``pack_lanes`` packs such
-a matrix back into lanes with one ``np.packbits`` along the sample axis.
-``enumeration_lanes`` gives the lanes of the consecutive values start,
-start+1, ... in closed form, for the exhaustive enumeration.
+The bits are drawn lane-major, in the bit-sliced layout of the evaluation
+kernel: lane word (v, b) holds variable v (0-based) of samples
+64b..64b+63, sample 64b+i at bit i, so one word operation evaluates a
+constraint on 64 samples at once. Its counter is b*n + v, so a block of 64
+samples is one item of n consecutive words. ``unpack_bits`` is the only
+decoder of packed words, least significant bit first. ``assignment_bits``
+decodes the lanes, so its matrix is variable-major (Fortran order), and
+``pack_lanes`` packs such a matrix back into lanes with one ``np.packbits``
+along the sample axis. ``enumeration_lanes`` gives the lanes of the
+consecutive values start, start+1, ... in closed form, for the exhaustive
+enumeration.
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# (shift, mask) of the six delta swaps that transpose a 64x64 bit block:
-# mask selects the bits of row i that trade places with row i + shift
-_SWAPS = (
-    (32, 0x00000000FFFFFFFF),
-    (16, 0x0000FFFF0000FFFF),
-    (8, 0x00FF00FF00FF00FF),
-    (4, 0x0F0F0F0F0F0F0F0F),
-    (2, 0x3333333333333333),
-    (1, 0x5555555555555555),
-)
 # lane word of variable v < 6 for the 64 consecutive values of any block
 _LOW_LANES = np.array(
     [
@@ -52,7 +43,8 @@ def random_words(seed: int, start: int, count: int, words_per_item: int) -> np.n
     """(count, words_per_item) uint64 block for item indices [start, start+count).
 
     Word w of item i has counter i * words_per_item + w, taken modulo 2**64,
-    so an item's words are consecutive counters.
+    so an item's words are consecutive counters. An item may be one sample,
+    or a block of 64 samples whose words are its lanes (``assignment_bits``).
     """
     x = np.arange(count * words_per_item, dtype=np.uint64)
     x += np.uint64((start * words_per_item + 1) & _MASK64)
@@ -75,34 +67,6 @@ def unpack_bits(words: np.ndarray, num_vars: int) -> np.ndarray:
     )
 
 
-def lane_words(words: np.ndarray, num_vars: int) -> np.ndarray:
-    """(num_vars, ceil(rows / 64)) lane words from (rows, words) packed values.
-
-    Lane word (v, b) holds variable v of rows 64b..64b+63, row 64b+i at bit
-    i; rows past the end read as 0. Every 64x64 bit block is transposed in
-    place by six delta swaps, with rows held block-offset-major so that each
-    swap runs over contiguous memory.
-    """
-    rows, per_item = words.shape
-    full, tail = divmod(rows, 64)
-    # x[i, w, b] = word w of row 64b + i
-    x = np.zeros((64, per_item, full + (tail > 0)), np.uint64)
-    x[:, :, :full] = words[: 64 * full].reshape(full, 64, per_item).transpose(1, 2, 0)
-    if tail:
-        x[:tail, :, full] = words[64 * full :]
-    for shift, mask in _SWAPS:
-        pairs = x.reshape(32 // shift, 2, -1)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        t = lo >> shift
-        t ^= hi
-        t &= mask
-        hi ^= t
-        t <<= shift
-        lo ^= t
-    # now x[c, w, b] is lane word (64w + c, b)
-    return x.transpose(1, 0, 2).reshape(64 * per_item, -1)[:num_vars]
-
-
 def pack_lanes(bits: np.ndarray) -> np.ndarray:
     """(num_vars, ceil(rows / 64)) lane words of a (rows, num_vars) 0/1 matrix.
 
@@ -118,7 +82,7 @@ def pack_lanes(bits: np.ndarray) -> np.ndarray:
 
 
 def enumeration_lanes(start: int, count: int, num_vars: int) -> np.ndarray:
-    """``lane_words`` of the packed values start..start+count-1, for start a multiple of 64.
+    """Lane words of the packed values start..start+count-1, for start a multiple of 64.
 
     Below bit 6 each variable repeats a fixed pattern in every lane word;
     variable v >= 6 is constant over a word, set by bit v - 6 of its block
@@ -141,9 +105,14 @@ def assignment_bits(seed: int, start: int, count: int, num_vars: int) -> np.ndar
     """(count, num_vars) uint8 matrix of uniform assignment bits, in Fortran order.
 
     Row i holds the assignment for iteration index start+i; it depends only
-    on (seed, start+i), never on the batch boundaries. Variable v of the row
-    is bit v % 64 of the item's random word v // 64; the bits are decoded
-    from lane words, so each variable's column is contiguous.
+    on (seed, start+i), never on the batch boundaries. Variable v of sample
+    s is bit s % 64 of the random word with counter (s // 64) * num_vars + v,
+    the lane word (v, s // 64). The lanes are decoded along the sample axis,
+    so each variable's column is contiguous; a start that is not a multiple
+    of 64 takes one more copy of the matrix.
     """
-    words = random_words(seed, start, count, (num_vars + 63) // 64)
-    return unpack_bits(lane_words(words, num_vars), count).T
+    first = start // 64
+    words = random_words(seed, first, (start + count + 63) // 64 - first, num_vars)
+    skip = start - 64 * first
+    bits = unpack_bits(np.ascontiguousarray(words.T), skip + count).T
+    return np.asfortranarray(bits[skip:]) if skip else bits

@@ -9,9 +9,10 @@ that set with probability at most fail_prob.
 Sample i's bits are a pure function of (seed, i) - see ``rng`` - which makes
 runs replayable and lets workers own disjoint index ranges with no
 coordination: results are identical for every parallelism degree. The index
-space is cut into at most one range per core. A range is scanned in chunks
-whose (rows, n) uint8 bit matrix fits in 2**24 bytes: the largest multiple
-of 64 rows within that budget, clamped to [64, 65,536]. So a worker's
+space is cut into at most one range per core, at multiples of 64 samples, so
+every chunk starts on a block of lane words (``rng``). A range is scanned in
+chunks whose (rows, n) uint8 bit matrix fits in 2**24 bytes: the largest
+multiple of 64 rows within that budget, clamped to [64, 65,536]. So a worker's
 working set stays bounded as n grows (65,536 rows up to n = 256, 16,768 at
 n = 1000), and the chunk size, like the cut, never changes a result.
 """
@@ -149,10 +150,12 @@ def solve(
     budget, clamped = _budget(inst.num_vars, cb.log2_count, cfg)
 
     # the result does not depend on the cut; ranges beyond the cores would
-    # only wait, and split the budget into ever smaller kernel calls
-    workers = min(cfg.parallelism, budget, os.cpu_count() or 1)
-    cuts = np.linspace(0, budget, workers + 1, dtype=np.int64)
-    ranges = [(int(cuts[i]), int(cuts[i + 1])) for i in range(workers)]
+    # only wait, and split the budget into ever smaller kernel calls. Cuts
+    # fall on multiples of 64, so every chunk starts on a lane block.
+    blocks = -(-budget // 64)
+    workers = min(cfg.parallelism, blocks, os.cpu_count() or 1)
+    cuts = [min(budget, 64 * (blocks * i // workers)) for i in range(workers + 1)]
+    ranges = list(zip(cuts[:-1], cuts[1:]))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda r: _scan_range(inst, cfg.seed, *r), ranges))

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from maxcsp import CspInstance, clause_from_literals
+
+# tests that start the CLI in a subprocess import the package from this
+# checkout, as pytest itself does (``pythonpath`` in pyproject.toml)
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def clauses_instance(num_vars, literal_lists, weights=None, clause_built=True):

@@ -92,10 +92,10 @@ class TestSolve:
                 "fail_prob=0.001\n"
                 "achieved_fail_prob=0.000999552254250196\n"
                 "seed=7\n"
-                "assignment=0011010011\n",
+                "assignment=1001010011\n",
             ),
             (
-                # three words per sample; the budget crosses a chunk boundary
+                # 130 lane words per 64 samples; the budget crosses a chunk boundary
                 ("--n", "130", "--m", "400", "--k", "3", "--seed", "1"),
                 ("--eps", "0.05", "--seed", "3", "--max-iters", "66000", "--parallelism", "2"),
                 "n=130\n"
@@ -114,8 +114,8 @@ class TestSolve:
                 "fail_prob=0.001\n"
                 "achieved_fail_prob=1.0\n"
                 "seed=3\n"
-                "assignment=1101010000100010101101011010110011011101010110101101100001"
-                "011100100110101111101111010100111011111010111001111011111110100111010110\n",
+                "assignment=1100011010011101101101100100110000001001001010111000110101"
+                "111000110000111001010010111100101001011000010101111011000111000000111011\n",
             ),
         ],
         ids=["n10", "n130"],

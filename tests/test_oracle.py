@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ class TestVerifyCountingBound:
                 assert report.d_exact == plain.d_exact, (eps, scale)
                 assert report.all_pass == plain.all_pass
                 assert count_near_optimal(scaled, eps) == count_near_optimal(inst, eps)
+
+    def test_float_path_memory(self):
+        # real weights take the float path over 65,536-row chunks; unpacking
+        # a whole 60-constraint block of satisfied words at once peaks at
+        # 7.4 MiB, a few constraints at a time at 4.6 MiB
+        inst = random_wcnf(18, 60, 4, seed=1)
+        tracemalloc.start()
+        try:
+            assert verify_counting_bound(inst, 0.05).all_pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 2**20
 
     def test_domain_and_size(self, single_pair):
         with pytest.raises(DomainError):

@@ -4,7 +4,6 @@ import pytest
 from maxcsp.rng import (
     assignment_bits,
     enumeration_lanes,
-    lane_words,
     pack_lanes,
     random_words,
     unpack_bits,
@@ -29,19 +28,6 @@ def test_seed_sensitivity():
     a = assignment_bits(1, 0, 64, 16)
     b = assignment_bits(2, 0, 64, 16)
     assert not np.array_equal(a, b)
-
-
-def test_wide_assignments_use_multiple_words():
-    bits = assignment_bits(9, 0, 8, 130)
-    assert bits.shape == (8, 130)
-    assert set(np.unique(bits)) <= {0, 1}
-    # upper words must not mirror the first one
-    assert not np.array_equal(bits[:, :64], bits[:, 64:128])
-    # variable v is bit v % 64 of word v // 64, least significant first
-    words = random_words(9, 0, 8, 3)
-    for i in range(8):
-        for v in range(130):
-            assert bits[i, v] == (int(words[i, v // 64]) >> (v % 64)) & 1
 
 
 def test_rough_bit_balance():
@@ -87,38 +73,54 @@ def test_random_words_match_reference(seed, start):
 
 @pytest.mark.parametrize("n", [1, 12, 63, 64, 65, 130])
 def test_assignment_bits_decode_item_words_in_fortran_order(n):
-    # 100 is not a multiple of 64, so lane blocks straddle item indices
-    for count in (0, 1, 63, 64, 65, 18_863):
-        bits = assignment_bits(5, 100, count, n)
-        words = random_words(5, 100, count, (n + 63) // 64)
-        assert bits.dtype == np.uint8 and bits.flags.f_contiguous
-        assert np.array_equal(bits, unpack_bits(words, n))
+    # an item is a block of 64 samples with one word per variable: variable
+    # v of sample s is bit s % 64 of the word with counter (s // 64) * n + v.
+    # 100 and 2**63 + 37 start inside a block; at 2**63 + 37 and n = 130 the
+    # counters pass 2**64 and wrap
+    assert ((2**63 + 37) // 64) * 130 >= 2**64
+    for start in (0, 100, 2**63 + 37):
+        first, skip = divmod(start, 64)
+        # 296 blocks hold the largest count from any of these starts
+        words = np.array(
+            [[_splitmix64(5, (first + b) * n + v) for v in range(n)] for b in range(296)],
+            np.uint64,
+        )
+        # 18,863 is the desk-scale solve_ksat budget
+        for count in (0, 1, 63, 64, 65, 18_863):
+            bits = assignment_bits(5, start, count, n)
+            assert bits.shape == (count, n) and bits.dtype == np.uint8
+            assert bits.flags.f_contiguous
+            offset = skip + np.arange(count)
+            shift = (offset % 64).astype(np.uint64)[:, None]
+            expected = (words[offset // 64] >> shift) & np.uint64(1)
+            assert np.array_equal(bits, expected), (start, count)
+
+
+def _assert_lanes(lanes, bits):
+    """Bit i of lane word (v, b) is variable v of row 64b + i; rows past the end read as 0."""
+    count, n = bits.shape
+    blocks = (count + 63) // 64
+    assert lanes.shape == (n, blocks) and lanes.dtype == np.uint64
+    padded = np.zeros((64 * blocks, n), np.uint64)
+    padded[:count] = bits
+    for i in range(64):
+        assert np.array_equal((lanes >> np.uint64(i)) & np.uint64(1), padded[i::64].T)
 
 
 @pytest.mark.parametrize("n", [1, 12, 63, 64, 65, 130])
 def test_lane_words_transpose_unpacked_bits(n):
-    # 18,863 is the desk-scale solve_ksat budget
     for count in (1, 63, 64, 65, 18_863):
-        words = random_words(5, 100, count, (n + 63) // 64)
-        bits = unpack_bits(words, n)
-        lanes = lane_words(words, n)
-        blocks = (count + 63) // 64
-        assert lanes.shape == (n, blocks) and lanes.dtype == np.uint64
-        # bit i of lane word (v, b) is variable v of row 64b + i; rows past
-        # the end read as 0
-        padded = np.zeros((64 * blocks, n), np.uint64)
-        padded[:count] = bits
-        for i in range(64):
-            assert np.array_equal((lanes >> np.uint64(i)) & np.uint64(1), padded[i::64].T)
+        bits = unpack_bits(random_words(5, 100, count, (n + 63) // 64), n)
+        lanes = pack_lanes(np.asfortranarray(bits))
+        _assert_lanes(lanes, bits)
         # pack_lanes packs a bit matrix into the same lanes, whatever its layout
         for layout in (
-            np.asfortranarray(bits),
             np.ascontiguousarray(bits),
             np.asfortranarray(bits, dtype=np.int64),
             bits.astype(bool),
         ):
             assert np.array_equal(pack_lanes(layout), lanes)
-        assert np.array_equal(pack_lanes(np.asfortranarray(bits)[::2]), lane_words(words[::2], n))
+        _assert_lanes(pack_lanes(np.asfortranarray(bits)[::2]), bits[::2])
 
 
 @pytest.mark.parametrize("n", [1, 5, 6, 7, 20])
@@ -128,4 +130,4 @@ def test_enumeration_lanes_closed_form(n):
         for count in (1, 37, 64, 100, 65_536):
             z = np.arange(start, start + count, dtype=np.uint64)[:, None]
             lanes = enumeration_lanes(start, count, n)
-            assert np.array_equal(lanes, lane_words(z, n)), (start, count)
+            assert np.array_equal(lanes, pack_lanes(unpack_bits(z, n))), (start, count)

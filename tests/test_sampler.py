@@ -24,6 +24,7 @@ from maxcsp import (
 
 import maxcsp.sampler as sampler
 from conftest import clauses_instance
+from maxcsp.rng import assignment_bits
 
 
 class TestBudget:
@@ -201,6 +202,35 @@ class TestSolve:
         for workers, ranges in ((3, 3), (4096, 8)):
             assert run(workers) == base
             assert len(calls) == ranges
+
+    def test_ranges_cut_at_lane_blocks(self, serial_pool, monkeypatch):
+        inst = random_ekcnf(16, 60, 3, seed=4)
+        starts, fortran = [], []
+
+        def drawing(seed, start, count, n):
+            starts.append(start)
+            return assignment_bits(seed, start, count, n)
+
+        def evaluating(inst, bits):
+            fortran.append(bits.flags.f_contiguous)
+            return weight_of_batch(inst, bits)
+
+        def run(workers):
+            events = []
+            cfg = SamplerConfig(epsilon=0.01, seed=3, max_iterations=5000, parallelism=workers)
+            res = solve(inst, cfg, trace=lambda i, w: events.append((i, w)))
+            assert res.clamped
+            return res, events
+
+        base = run(1)
+        monkeypatch.setattr(sampler, "assignment_bits", drawing)
+        monkeypatch.setattr(sampler, "weight_of_batch", evaluating)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        # 5,000 is not a multiple of 64; three ranges, then the best sample's row
+        assert run(3) == base
+        assert serial_pool == [3] and len(starts) == 4
+        assert all(start % 64 == 0 for start in starts[:-1])
+        assert fortran == [True] * 3
 
     @pytest.mark.parametrize(
         "inst, budget",
