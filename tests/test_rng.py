@@ -30,6 +30,20 @@ def test_seed_sensitivity():
     assert not np.array_equal(a, b)
 
 
+def test_wide_assignments_use_multiple_words():
+    bits = assignment_bits(9, 0, 8, 130)
+    assert bits.shape == (8, 130)
+    assert set(np.unique(bits)) <= {0, 1}
+    # upper variables must not mirror the first 64
+    assert not np.array_equal(bits[:, :64], bits[:, 64:128])
+    # every variable has a word of its own: variable v of sample s is
+    # bit s % 64 of the word with counter (s // 64) * 130 + v
+    words = random_words(9, 0, 1, 130)
+    for i in range(8):
+        for v in range(130):
+            assert bits[i, v] == (int(words[0, v]) >> i) & 1
+
+
 def test_rough_bit_balance():
     bits = assignment_bits(2024, 0, 20000, 16)
     mean = bits.mean()
