@@ -105,9 +105,6 @@ class CountingBound:
 
     epsilon: float
     effective_epsilon: float
-    num_vars: int
-    total_weight: float
-    weighted_length: float
     per_delta: tuple[DeltaRecord, ...]
     best: int
 
@@ -200,9 +197,6 @@ def counting_bound(
     return CountingBound(
         epsilon=float(epsilon),
         effective_epsilon=eps_eff,
-        num_vars=n,
-        total_weight=w,
-        weighted_length=ell,
         per_delta=tuple(records),
         best=best,
     )

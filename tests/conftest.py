@@ -3,22 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from maxcsp import CspInstance, clause_from_literals
+from helpers import clauses_instance
 
 # tests that start the CLI in a subprocess import the package from this
 # checkout, as pytest itself does (``pythonpath`` in pyproject.toml)
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
-
-
-def clauses_instance(num_vars, literal_lists, weights=None, clause_built=True):
-    """Instance from a list of literal tuples, unit weights by default."""
-    if weights is None:
-        weights = [1.0] * len(literal_lists)
-    constraints = tuple(
-        clause_from_literals(lits, w) for lits, w in zip(literal_lists, weights)
-    )
-    return CspInstance(num_vars, constraints, clause_built=clause_built)
 
 
 @pytest.fixture

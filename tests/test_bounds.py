@@ -23,7 +23,7 @@ from maxcsp import (
     comparison_table,
 )
 
-from conftest import clauses_instance
+from helpers import clauses_instance
 
 # closed-form reference values computed independently at 30-digit precision
 H_QUARTER = 0.8112781244591328

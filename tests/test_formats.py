@@ -16,7 +16,7 @@ from maxcsp import (
     weight_of,
 )
 
-from conftest import clauses_instance
+from helpers import clauses_instance
 
 
 class TestParseCnf:

@@ -20,7 +20,7 @@ from maxcsp import (
     weight_of_batch,
 )
 
-from conftest import clauses_instance
+from helpers import clauses_instance
 
 
 class TestWeightOf:

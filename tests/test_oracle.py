@@ -26,7 +26,7 @@ from maxcsp import (
 )
 from maxcsp.rng import unpack_bits
 
-from conftest import clauses_instance
+from helpers import clauses_instance
 
 
 class TestBruteForce:

@@ -23,7 +23,7 @@ from maxcsp import (
 )
 
 import maxcsp.sampler as sampler
-from conftest import clauses_instance
+from helpers import clauses_instance
 from maxcsp.rng import assignment_bits
 
 
@@ -91,6 +91,17 @@ class TestBudget:
             SamplerConfig(epsilon=0.1, parallelism=0)
         with pytest.raises(DomainError):
             SamplerConfig(epsilon=0.1, max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.7), ("seed", "3"), ("max_iterations", 100.0), ("parallelism", 2.5)],
+    )
+    def test_config_rejects_non_integers(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SamplerConfig(epsilon=0.2, **{field: value})
+        # Python and numpy integers pass
+        SamplerConfig(epsilon=0.2, **{field: np.int64(3)})
+        SamplerConfig(epsilon=0.2, **{field: 3})
 
 
 class TestSolve:
@@ -284,6 +295,32 @@ class TestSolve:
             sizes.clear()
             assert run(workers) == base
             assert max(sizes) == rows and sum(sizes) == 5000
+
+    def test_chunks_uniform_across_parallelism(self, serial_pool, monkeypatch):
+        inst = random_ekcnf(16, 60, 3, seed=4)
+        sizes = []
+
+        def counting(inst, bits):
+            sizes.append(len(bits))
+            return weight_of_batch(inst, bits)
+
+        def run(workers):
+            sizes.clear()
+            events = []
+            cfg = SamplerConfig(epsilon=0.01, seed=3, max_iterations=5000, parallelism=workers)
+            res = solve(inst, cfg, trace=lambda i, w: events.append((i, w)))
+            assert res.clamped
+            return res, events
+
+        monkeypatch.setattr(sampler, "weight_of_batch", counting)
+        monkeypatch.setattr(sampler, "_CHUNK_BYTES", 640 * inst.num_vars)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        base = run(1)
+        assert sizes == [640] * 7 + [520]
+        # three workers take the same chunks: only the last one is partial
+        assert run(3) == base
+        assert sizes == [640] * 7 + [520]
+        assert serial_pool == [3]
 
     def test_chunk_memory_bounded_as_n_grows(self):
         # a fixed 65,536-row chunk peaks at 157 MiB on this instance
