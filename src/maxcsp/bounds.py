@@ -10,8 +10,8 @@ Three groups of quantities live here:
   form a set S, flipping at most r = floor(eps*w/tau) of them from an
   optimum loses at most r*tau <= eps*w weight, so at least
   sum_{i<=r} C(|S|,i) assignments stay within additive slack eps*w of the
-  optimum. ``counting_bound`` evaluates log2 of that sum at every
-  threshold of ``breakpoint_grid`` and keeps the best;
+  optimum. ``counting_bound`` evaluates log2 of that sum at the least
+  feasible threshold and at every contribution above it, and keeps the best;
 
 * runtime exponents: the sampling algorithm's, minimized over delta by
   bisection on the sign of its derivative, and the closed-form baselines
@@ -20,7 +20,7 @@ Three groups of quantities live here:
   the 27-row comparison table with its published reference values.
 
 S-membership uses exact float comparison against tau, and the flip radius
-and feasibility tests are evaluated in exact rational arithmetic over the
+and the feasibility edge are evaluated in exact rational arithmetic over the
 float values, so the r <= |S| and |S| >= (delta-1)n/delta guarantees hold
 even at breakpoints where naive float rounding flips a comparison.
 """
@@ -119,7 +119,7 @@ class CountingBound:
 
 def _check_epsilon(epsilon: float) -> float:
     epsilon = float(epsilon)
-    if not 0.0 < epsilon <= 1.0 or not math.isfinite(epsilon):
+    if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon {epsilon} outside (0, 1]")
     return epsilon
 
@@ -134,30 +134,6 @@ def _effective_epsilon(epsilon: float, w_bar: float | None, w: float) -> float:
     return epsilon * w_bar / w
 
 
-def flip_radius(eps_eff: float, total_weight: float, threshold: float) -> int:
-    """floor(eps_eff * w / tau), evaluated exactly over the float values."""
-    return int(Fraction(eps_eff) * Fraction(total_weight) / Fraction(threshold))
-
-
-def breakpoint_grid(inst: CspInstance, eps_eff: float) -> list[float]:
-    """Feasible thresholds where |S| changes, plus the feasibility edge.
-
-    |S| as a function of tau is a step function jumping exactly at the
-    distinct contribution values; within a step the flip radius only shrinks
-    as tau grows, so these left endpoints carry the exact maximum.
-    """
-    n = inst.num_vars
-    need = Fraction(inst.weighted_length) + Fraction(eps_eff) * Fraction(inst.total_weight)
-    tau_lo = (inst.weighted_length + eps_eff * inst.total_weight) / n
-    while Fraction(tau_lo) * n < need:  # smallest float on the feasible side
-        tau_lo = math.nextafter(tau_lo, math.inf)
-    taus = {tau_lo}
-    for c in sorted(set(inst.contributions)):
-        if c > 0.0 and Fraction(c) * n >= need:
-            taus.add(c)
-    return sorted(taus)
-
-
 def counting_bound(
     inst: CspInstance,
     epsilon: float,
@@ -169,21 +145,35 @@ def counting_bound(
     (the additive slack eps*w_bar then implies a (1-eps) multiplicative
     guarantee relative to any optimum of weight >= w_bar). The guarantee is
     constructive and constant-free: at least 2**log2_count assignments meet
-    the threshold, exactly. The thresholds evaluated are exactly
-    ``breakpoint_grid``, which carries the maximum over all feasible tau.
+    the threshold, exactly.
+
+    A threshold tau is feasible when tau*n >= l + eps_eff*w, exactly over the
+    float values. That test is monotone in tau, so the feasible floats are
+    those >= tau_lo, the least feasible one: float(need/n) is correctly
+    rounded, so at most one step up reaches it. |S| as a function of tau is a
+    step function jumping exactly at the distinct contribution values, and
+    within a step the flip radius only shrinks as tau grows, so tau_lo and
+    the contributions >= tau_lo carry the exact maximum over all feasible tau.
     """
     w = inst.total_weight
     ell = inst.weighted_length
     n = inst.num_vars
     eps_eff = _effective_epsilon(epsilon, w_bar, w)
+    slack = Fraction(eps_eff) * Fraction(w)
+    need = Fraction(ell) + slack
 
+    tau_lo = float(need / n)
+    if Fraction(tau_lo) * n < need:
+        tau_lo = math.nextafter(tau_lo, math.inf)
     contributions = sorted(inst.contributions)
+    grid = sorted({tau_lo, *contributions[bisect.bisect_left(contributions, tau_lo) :]})
+
     records = []
-    for tau in breakpoint_grid(inst, eps_eff):
+    for tau in grid:
         s = bisect.bisect_right(contributions, tau)
-        r = flip_radius(eps_eff, w, tau)
-        if r > s:  # cannot happen for feasible tau; guard the contract anyway
-            r = s
+        num, den = tau.as_integer_ratio()
+        # floor(slack / tau); r > s cannot happen for feasible tau, guard the contract anyway
+        r = min(s, slack.numerator * den // (slack.denominator * num))
         records.append(
             DeltaRecord(
                 delta=tau * n / ell,

@@ -10,8 +10,9 @@ form by ``rng.enumeration_lanes``, with no bit matrix in between.
 On top of the exact weight table this module checks, constant-free, the
 records of ``counting_bound`` itself: for every threshold it evaluates,
 the number of assignments within additive slack eps*w of the optimum is
-at least sum_{i<=r} C(|S|,i), and every member of the constructed flip set
-actually meets the threshold.
+at least sum_{i<=r} C(|S|,i), the record's |S| is the size of the set it
+rebuilds, and every member of the constructed flip set actually meets the
+threshold.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bounds import binomial_sum, counting_bound, entropy_scaling_gap
+from .bounds import _check_epsilon, binomial_sum, counting_bound, entropy_scaling_gap
 from .errors import DomainError, SizeError
 from .instance import Assignment, CspInstance, weight_of_lanes
 from .rng import enumeration_lanes
@@ -77,10 +78,9 @@ def brute_force_optimum(inst: CspInstance, cap: int = ORACLE_CAP) -> tuple[float
 
 def count_near_optimal(inst: CspInstance, epsilon: float, cap: int = ORACLE_CAP) -> int:
     """Exact number of assignments with weight >= w* - eps*w."""
-    if not 0.0 < float(epsilon) <= 1.0:
-        raise DomainError(f"epsilon {epsilon} outside (0, 1]")
+    epsilon = _check_epsilon(epsilon)
     weights = assignment_weights(inst, cap)
-    threshold = float(weights.max()) - float(epsilon) * inst.total_weight
+    threshold = float(weights.max()) - epsilon * inst.total_weight
     return int((weights >= threshold - _threshold_tolerance(inst)).sum())
 
 
@@ -134,6 +134,10 @@ def verify_counting_bound(
             for combo in combinations(masks, size):
                 members.append(z0 ^ sum(combo))
         sigma = binomial_sum(rec.s_size, rec.r)
+        # sigma counts the record's |S|, so it must be the set the replay flips
+        members_ok = len(masks) == rec.s_size and bool(
+            (weights[np.array(members, dtype=np.int64)] >= floor).all()
+        )
         checks.append(
             DeltaCheck(
                 delta=rec.delta,
@@ -142,7 +146,7 @@ def verify_counting_bound(
                 r=rec.r,
                 sigma_count=sigma,
                 count_ok=d_exact >= sigma,
-                members_ok=bool((weights[np.array(members, dtype=np.int64)] >= floor).all()),
+                members_ok=members_ok,
             )
         )
 

@@ -18,6 +18,7 @@ from maxcsp import (
     exponent_ours_ksat_delta2,
     entropy_scaling_gap,
     log2_binomial_sum,
+    random_csp,
     random_ekcnf,
     random_wcnf,
     comparison_table,
@@ -113,7 +114,84 @@ class TestBinomialSums:
             binomial_sum(3, -1)
 
 
+def _least_feasible(need, n):
+    """Least float tau with Fraction(tau) * n >= need, walked to from float(need / n)."""
+    tau = float(need / n)
+    while Fraction(tau) * n < need:
+        tau = math.nextafter(tau, math.inf)
+    while Fraction(math.nextafter(tau, -math.inf)) * n >= need:
+        tau = math.nextafter(tau, -math.inf)
+    return tau
+
+
+def _reference_bound(inst, eps, w_bar=None):
+    """counting_bound's (records, best), with Fraction arithmetic at every threshold."""
+    n, w, ell = inst.num_vars, inst.total_weight, inst.weighted_length
+    eps_eff = eps if w_bar is None else eps * w_bar / w
+    need = Fraction(ell) + Fraction(eps_eff) * Fraction(w)
+    taus = {_least_feasible(need, n)}
+    taus |= {c for c in inst.contributions if c > 0.0 and Fraction(c) * n >= need}
+    records = []
+    for tau in sorted(taus):
+        s = sum(1 for c in inst.contributions if c <= tau)
+        r = min(s, int(Fraction(eps_eff) * Fraction(w) / Fraction(tau)))
+        count = sum(math.comb(s, i) for i in range(r + 1))
+        records.append((tau * n / ell, tau, s, r, math.log2(count)))
+    best = max(range(len(records)), key=lambda i: (records[i][4], -i))
+    return records, best
+
+
+def _bound_instances():
+    for i, n in enumerate([5, 9, 16, 30, 60]):
+        for builder in (random_ekcnf, random_wcnf, random_csp):
+            yield builder(n, int(2.5 * n), 3, seed=40 + i)
+    # unit weights, w = 4, l = 7, contributions (3, 2, 2): at eps = 1/2 the
+    # contribution 3 equals need / n = (7 + 2) / 3 exactly
+    yield clauses_instance(3, [(1, 2, 3), (1, 2), (1,), (3,)])
+
+
 class TestCountingBound:
+    def test_edge_is_least_feasible_float(self):
+        # a float estimate stepped only upwards can stop one ulp above these edges
+        pinned = [
+            (random_ekcnf(52, 122, 3, seed=22), 7.061923076923077),
+            (random_wcnf(23, 363, 4, seed=303), 196.75696450474913),
+        ]
+        for inst, edge in pinned:
+            assert counting_bound(inst, 0.01).per_delta[0].threshold == edge
+        cases = [(inst, 0.01) for inst, _ in pinned]
+        rng = np.random.default_rng(2211)
+        for i in range(150):
+            builder = (random_ekcnf, random_wcnf, random_csp)[i % 3]
+            n = int(rng.integers(5, 80))
+            inst = builder(n, int(rng.integers(n, 4 * n)), 4, seed=1000 + i)
+            cases.append((inst, float(rng.uniform(1e-4, 1.0))))
+        for inst, eps in cases:
+            n = inst.num_vars
+            for w_bar in (None, inst.total_weight / 3):
+                cb = counting_bound(inst, eps, w_bar)
+                tau = cb.per_delta[0].threshold
+                slack = Fraction(cb.effective_epsilon) * Fraction(inst.total_weight)
+                need = Fraction(inst.weighted_length) + slack
+                assert Fraction(tau) * n >= need
+                assert Fraction(math.nextafter(tau, -math.inf)) * n < need
+
+    def test_records_match_fraction_reference(self):
+        on_boundary = 0
+        for inst in _bound_instances():
+            n = inst.num_vars
+            for eps in [1e-4, 0.01, 0.05, 0.3, 0.5, 1.0]:
+                for w_bar in (None, inst.total_weight / 2):
+                    cb = counting_bound(inst, eps, w_bar)
+                    records, best = _reference_bound(inst, eps, w_bar)
+                    got = [(r.delta, r.threshold, r.s_size, r.r, r.log2_count) for r in cb.per_delta]
+                    assert got == records, (inst.num_vars, eps, w_bar)
+                    assert cb.best == best
+                    slack = Fraction(cb.effective_epsilon) * Fraction(inst.total_weight)
+                    need = Fraction(inst.weighted_length) + slack
+                    on_boundary += any(Fraction(c) * n == need for c in inst.contributions)
+        assert on_boundary > 0
+
     def test_never_exceeds_n(self, complementary_units):
         for eps in [0.01, 0.3, 1.0]:
             cb = counting_bound(complementary_units, eps)

@@ -274,6 +274,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", str(p), "--eps", "0.5", "--max-n", "12")
         assert code == 4
 
+    def test_max_n_default_is_oracle_cap(self, monkeypatch):
+        from maxcsp import cli
+        from maxcsp.oracle import ORACLE_CAP
+
+        args = ["verify", "x.cnf", "--eps", "0.5"]
+        assert cli._build_parser().parse_args(args).max_n == ORACLE_CAP
+        monkeypatch.setattr(cli, "ORACLE_CAP", ORACLE_CAP - 1)
+        assert cli._build_parser().parse_args(args).max_n == ORACLE_CAP - 1
+
     def test_table_too_large_maps_to_domain_exit(self, tmp_path, capsys):
         # numpy rejects a 2^60-entry table before it allocates anything
         from maxcsp import random_ekcnf, serialize

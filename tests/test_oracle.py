@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from maxcsp import (
     weight_of,
     weight_of_batch,
 )
+import maxcsp.oracle
 from maxcsp.rng import unpack_bits
 
 from helpers import clauses_instance
@@ -146,6 +148,26 @@ class TestVerifyCountingBound:
                     assert (check.s_size, check.r) == (rec.s_size, rec.r)
                     assert check.sigma_count == binomial_sum(rec.s_size, rec.r)
                     assert math.log2(check.sigma_count) == rec.log2_count
+
+    def test_inflated_s_size_fails(self, monkeypatch):
+        # at eps = 1 every assignment counts (d_exact = 2^n), so the count
+        # check alone cannot see a record whose |S| is one too large
+        inst = random_ekcnf(10, 30, 3, seed=5)
+        assert verify_counting_bound(inst, 1.0).all_pass
+
+        def inflated(*args):
+            cb = counting_bound(*args)
+            rec = cb.per_delta[0]
+            assert rec.s_size < inst.num_vars
+            wrong = dataclasses.replace(rec, s_size=rec.s_size + 1)
+            return dataclasses.replace(cb, per_delta=(wrong,) + cb.per_delta[1:])
+
+        monkeypatch.setattr(maxcsp.oracle, "counting_bound", inflated)
+        report = verify_counting_bound(inst, 1.0)
+        assert report.d_exact == 1 << inst.num_vars
+        assert all(c.count_ok for c in report.per_delta_checks)
+        assert not report.per_delta_checks[0].members_ok
+        assert not report.all_pass
 
     def test_power_of_two_scaling_changes_nothing(self):
         # scaling every weight by a power of two is exact in floating point,

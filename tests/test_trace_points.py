@@ -39,10 +39,10 @@ def test_traced_names_see_every_row(monkeypatch):
 
     inst = maxcsp.random_ekcnf(12, 40, 3, seed=1)
     res = maxcsp.solve(inst, maxcsp.SamplerConfig(epsilon=0.125, fail_prob=1e-2, seed=3))
-    # one batch per range, and one more row to rebuild the best assignment
+    # one batch per chunk, and one more row to rebuild the best assignment
     assert sum(rows for rows, _ in batch) == res.iterations_used
     # the kernel packs Fortran-order bits with one packbits per chunk; any
-    # other layout takes the slower row-pack and transpose
+    # other layout first takes an np.asfortranarray copy
     assert all(f_contiguous for _, f_contiguous in batch)
     assert sum(bits) == res.iterations_used + 1
     assert table == []
