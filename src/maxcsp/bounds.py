@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,21 +118,36 @@ class CountingBound:
         return self.per_delta[self.best].log2_count
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; a string, or anything float() rejects, is a DomainError."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; Python and numpy integers pass, anything else is a DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
+    epsilon = _real("epsilon", epsilon)
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon {epsilon} outside (0, 1]")
     return epsilon
 
 
-def _effective_epsilon(epsilon: float, w_bar: float | None, w: float) -> float:
-    epsilon = _check_epsilon(epsilon)
-    if w_bar is None:
-        return epsilon
-    w_bar = float(w_bar)
+def _check_w_bar(w_bar: float, w: float) -> float:
+    w_bar = _real("w_bar", w_bar)
     if not 0.0 < w_bar <= w:
         raise DomainError(f"w_bar {w_bar} outside (0, w={w}]")
-    return epsilon * w_bar / w
+    return w_bar
 
 
 def counting_bound(
@@ -158,7 +174,8 @@ def counting_bound(
     w = inst.total_weight
     ell = inst.weighted_length
     n = inst.num_vars
-    eps_eff = _effective_epsilon(epsilon, w_bar, w)
+    epsilon = _check_epsilon(epsilon)
+    eps_eff = epsilon if w_bar is None else epsilon * _check_w_bar(w_bar, w) / w
     slack = Fraction(eps_eff) * Fraction(w)
     need = Fraction(ell) + slack
 
@@ -185,7 +202,7 @@ def counting_bound(
         )
     best = max(range(len(records)), key=lambda i: (records[i].log2_count, -i))
     return CountingBound(
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         effective_epsilon=eps_eff,
         per_delta=tuple(records),
         best=best,
@@ -258,9 +275,7 @@ def exponent_ours_csp(
     if not 0.0 < w <= ell:
         raise DomainError("need 0 < w <= ell")
     epsilon = _check_epsilon(epsilon)
-    if w_bar is not None and not 0.0 < float(w_bar) <= w:
-        raise DomainError(f"w_bar {w_bar} outside (0, w={w}]")
-    wb = w if w_bar is None else float(w_bar)
+    wb = w if w_bar is None else _check_w_bar(w_bar, w)
     delta_star, expo = _minimize_exponent(w, ell, epsilon, wb)
     return ExponentReport(
         method=OURS_CSP, epsilon=epsilon, exponent=expo, delta_star=delta_star
@@ -271,7 +286,7 @@ def exponent_ours_eksat(k: int, epsilon: float) -> ExponentReport:
     """Sampling-algorithm exponent for exact-length-k CNF (unit weights)."""
     k = _check_k(k)
     epsilon = _check_epsilon(epsilon)
-    w_bar = float((1 << k) - 1) / float(1 << k)
+    w_bar = 1.0 - 0.5 ** k
     delta_star, expo = _minimize_exponent(1.0, float(k), epsilon, w_bar)
     return ExponentReport(
         method=OURS_EKSAT, epsilon=epsilon, exponent=expo, k=k, delta_star=delta_star
@@ -325,7 +340,7 @@ def exponent_ept(epsilon: float, alpha: float = DEFAULT_EPT_ALPHA) -> ExponentRe
 
 
 def _check_k(k) -> int:
-    k = int(k)
+    k = _integer("k", k)
     if k < 1:
         raise DomainError("k must be a positive integer")
     return k

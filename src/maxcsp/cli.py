@@ -75,21 +75,22 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# the exponent methods that take (k, eps); "ept" takes (eps, alpha) instead
+_K_METHODS = {
+    "ours": bounds.exponent_ours_eksat,
+    "ours-delta2": bounds.exponent_ours_ksat_delta2,
+    "hirsch1": bounds.exponent_hirsch1,
+    "hirsch2": bounds.exponent_hirsch2,
+}
+
+
 def _cmd_exponent(args) -> int:
-    method = args.method
-    if method == "ept":
+    if args.method == "ept":
         report = bounds.exponent_ept(args.eps, args.alpha)
+    elif args.k is None:
+        raise DomainError(f"--method {args.method} requires --k")
     else:
-        if args.k is None:
-            raise DomainError(f"--method {method} requires --k")
-        if method == "ours":
-            report = bounds.exponent_ours_eksat(args.k, args.eps)
-        elif method == "ours-delta2":
-            report = bounds.exponent_ours_ksat_delta2(args.k, args.eps)
-        elif method == "hirsch1":
-            report = bounds.exponent_hirsch1(args.k, args.eps)
-        else:
-            report = bounds.exponent_hirsch2(args.k, args.eps)
+        report = _K_METHODS[args.method](args.k, args.eps)
     print(f"method={report.method}")
     if report.k is not None:
         print(f"k={report.k}")
@@ -184,11 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("exponent", help="runtime exponent calculators")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=["ours", "ours-delta2", "hirsch1", "hirsch2", "ept"],
-    )
+    p.add_argument("--method", required=True, choices=[*_K_METHODS, "ept"])
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--alpha", type=float, default=bounds.DEFAULT_EPT_ALPHA)

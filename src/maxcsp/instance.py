@@ -166,6 +166,8 @@ class CspInstance:
             ell += c.arity * c.weight
             for v in c.vars:
                 contrib[v - 1] += c.weight
+        if not np.isfinite(ell):  # w and every l_i sum no larger terms
+            raise DomainError(f"weighted length {ell} overflows a float")
         object.__setattr__(self, "total_weight", w)
         object.__setattr__(self, "weighted_length", ell)
         object.__setattr__(self, "contributions", tuple(contrib))
@@ -508,4 +510,4 @@ def ksat_optimum_lower_bound(histogram: Mapping[int, int]) -> float:
     A uniformly random assignment satisfies a length-i clause with
     probability (2^i-1)/2^i, so some assignment meets this bound.
     """
-    return sum((float((1 << i) - 1) / float(1 << i)) * m_i for i, m_i in sorted(histogram.items()))
+    return sum((1.0 - 0.5 ** i) * m_i for i, m_i in sorted(histogram.items()))

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bounds import _check_epsilon, binomial_sum, counting_bound, entropy_scaling_gap
+from .bounds import _check_epsilon, _integer, binomial_sum, counting_bound, entropy_scaling_gap
 from .errors import DomainError, SizeError
 from .instance import Assignment, CspInstance, weight_of_lanes
 from .rng import enumeration_lanes
@@ -60,6 +60,11 @@ def _threshold_tolerance(inst: CspInstance) -> float:
     return inst.num_constraints * math.ulp(inst.total_weight)
 
 
+def _near_optimal(inst: CspInstance, weights: np.ndarray, w_star: float, epsilon: float) -> np.ndarray:
+    """Which assignments weigh at least w* - epsilon*w, less the rounding tolerance."""
+    return weights >= w_star - epsilon * inst.total_weight - _threshold_tolerance(inst)
+
+
 def _optimum(weights: np.ndarray, n: int) -> tuple[float, int]:
     """Maximum of a weight table and the packed index of its lexicographically smallest maximizer."""
     w_star = float(weights.max())
@@ -80,8 +85,7 @@ def count_near_optimal(inst: CspInstance, epsilon: float, cap: int = ORACLE_CAP)
     """Exact number of assignments with weight >= w* - eps*w."""
     epsilon = _check_epsilon(epsilon)
     weights = assignment_weights(inst, cap)
-    threshold = float(weights.max()) - epsilon * inst.total_weight
-    return int((weights >= threshold - _threshold_tolerance(inst)).sum())
+    return int(_near_optimal(inst, weights, float(weights.max()), epsilon).sum())
 
 
 @dataclass(frozen=True)
@@ -123,21 +127,16 @@ def verify_counting_bound(
     n = inst.num_vars
     weights = assignment_weights(inst, cap)
     w_star, z0 = _optimum(weights, n)
-    floor = w_star - cb.effective_epsilon * inst.total_weight - _threshold_tolerance(inst)
-    d_exact = int((weights >= floor).sum())
+    near = _near_optimal(inst, weights, w_star, cb.effective_epsilon)
+    d_exact = int(near.sum())
 
     checks = []
     for rec in cb.per_delta:
         masks = [1 << f for f in range(n) if inst.contributions[f] <= rec.threshold]
-        members = [z0]
-        for size in range(1, rec.r + 1):
-            for combo in combinations(masks, size):
-                members.append(z0 ^ sum(combo))
+        members = [z0 ^ sum(c) for size in range(rec.r + 1) for c in combinations(masks, size)]
         sigma = binomial_sum(rec.s_size, rec.r)
         # sigma counts the record's |S|, so it must be the set the replay flips
-        members_ok = len(masks) == rec.s_size and bool(
-            (weights[np.array(members, dtype=np.int64)] >= floor).all()
-        )
+        members_ok = len(masks) == rec.s_size and bool(near[np.array(members, dtype=np.int64)].all())
         checks.append(
             DeltaCheck(
                 delta=rec.delta,
@@ -177,7 +176,7 @@ def verify_entropy_scaling(samples: int, seed: int = 0) -> EntropyScalingReport:
     Draws valid (x, y, r) triples and returns the worst entropy_scaling_gap; pass
     means the minimum never drops below -1e-12.
     """
-    if samples < 1:
+    if _integer("samples", samples) < 1:
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
     ys = rng.uniform(1e-6, 50.0, samples)

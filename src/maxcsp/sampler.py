@@ -19,7 +19,6 @@ budget smaller than one such chunk per worker is shared out evenly instead.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import counting_bound
+from .bounds import _check_epsilon, _check_w_bar, _integer, counting_bound
 from .errors import BudgetOverflowError, DomainError, UnsupportedError
 from .instance import (
     Assignment,
@@ -63,26 +62,17 @@ class SamplerConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise DomainError(f"epsilon {self.epsilon} outside (0, 1]")
+        _check_epsilon(self.epsilon)
         if not 0.0 < self.fail_prob < 1.0:
             raise DomainError(f"fail_prob {self.fail_prob} outside (0, 1)")
-        if self.w_bar is not None and self.w_bar <= 0.0:
-            raise DomainError("w_bar must be positive")
+        if self.w_bar is not None:
+            _check_w_bar(self.w_bar, math.inf)  # the total weight w is not known yet
         if not 0 <= _integer("seed", self.seed) < 1 << 64:
             raise DomainError("seed must fit in 64 bits")
         if self.max_iterations is not None and _integer("max_iterations", self.max_iterations) < 1:
             raise DomainError("max_iterations must be positive")
         if _integer("parallelism", self.parallelism) < 1:
             raise DomainError("parallelism must be positive")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else is a DomainError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -210,7 +200,7 @@ def solve_ksat(
     hist = clause_length_histogram(inst)
     if not all(c.weight == 1.0 for c in inst.constraints):
         raise UnsupportedError("the clause-length lower bound requires unit weights")
-    if max(hist) > int(k):
+    if max(hist) > _integer("k", k):
         raise DomainError(f"instance has clauses of length {max(hist)} > k={k}")
     m = inst.num_constraints
     w_bar = max(m / 2.0, ksat_optimum_lower_bound(hist))

@@ -6,7 +6,9 @@ import pytest
 
 from maxcsp import (
     DomainError,
+    ExponentReport,
     PUBLISHED_EXPONENTS,
+    SamplerConfig,
     binary_entropy,
     binomial_sum,
     counting_bound,
@@ -22,6 +24,9 @@ from maxcsp import (
     random_ekcnf,
     random_wcnf,
     comparison_table,
+    count_near_optimal,
+    solve_ksat,
+    verify_counting_bound,
 )
 
 from helpers import clauses_instance
@@ -351,6 +356,10 @@ class TestExponents:
         assert exponent_ours_csp(1.0, 3.0, 1.0, w_bar=0.01).delta_star == 1 + 1 / 3
         assert exponent_ours_csp(1.0, 1.0, 1.0, w_bar=0.1).delta_star == 2.0
 
+    def test_report_rejects_exponent_outside_unit_interval(self):
+        with pytest.raises(DomainError, match="exponent 1.5"):
+            ExponentReport(method="x", epsilon=0.1, exponent=1.5)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             exponent_ours_eksat(0, 0.1)
@@ -360,6 +369,66 @@ class TestExponents:
             exponent_ours_csp(2.0, 1.0, 0.1)  # w > ell
         with pytest.raises(DomainError):
             exponent_ours_csp(1.0, 3.0, 0.1, w_bar=2.0)
+
+
+K_EXPONENTS = [exponent_ours_eksat, exponent_ours_ksat_delta2, exponent_hirsch1, exponent_hirsch2]
+
+
+class TestArgumentRules:
+    """Each rule has one owner, so every entry point rejects the same inputs the same way."""
+
+    @staticmethod
+    def _entry_points():
+        inst = random_ekcnf(6, 12, 3, seed=1)
+        half = inst.total_weight / 2
+        epsilon = [
+            lambda v: counting_bound(inst, v),
+            lambda v: SamplerConfig(epsilon=v),
+            lambda v: solve_ksat(inst, 3, epsilon=v),
+            lambda v: count_near_optimal(inst, v),
+            lambda v: verify_counting_bound(inst, v),
+            lambda v: exponent_ours_csp(1.0, 3.0, v),
+            lambda v: exponent_ept(v),
+            *[lambda v, f=f: f(3, v) for f in K_EXPONENTS],
+        ]
+        w_bar = [
+            lambda v: counting_bound(inst, 0.5, w_bar=v),
+            lambda v: SamplerConfig(epsilon=0.5, w_bar=v),
+            lambda v: verify_counting_bound(inst, 0.5, w_bar=v),
+            lambda v: exponent_ours_csp(inst.total_weight, inst.weighted_length, 0.5, w_bar=v),
+        ]
+        return [("epsilon", f, 0.125) for f in epsilon] + [("w_bar", f, half) for f in w_bar]
+
+    @pytest.mark.parametrize(
+        "value",
+        ["0.125", b"0.125", "x", [0.125], object(), 10**400],
+        ids=["str", "bytes", "text", "list", "object", "int-overflow"],
+    )
+    def test_non_reals_are_domain_errors(self, value):
+        for name, call, good in self._entry_points():
+            call(good)
+            with pytest.raises(DomainError, match=f"{name} must be a real number"):
+                call(value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_out_of_range_is_a_domain_error(self, value):
+        for name, call, _ in self._entry_points():
+            with pytest.raises(DomainError, match=f"{name} {value} outside"):
+                call(value)
+
+    @pytest.mark.parametrize("k", [3.9, 3.7, "3", 3.0])
+    @pytest.mark.parametrize("exponent", K_EXPONENTS)
+    def test_k_must_be_an_integer(self, exponent, k):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            exponent(k, 0.1)
+        assert exponent(np.int64(3), 0.1) == exponent(3, 0.1)
+
+    @pytest.mark.parametrize("exponent", K_EXPONENTS)
+    def test_k_1024_is_finite(self, exponent):
+        # (2^k - 1)/2^k as a float, with no 2^1024 conversion on the way
+        rep = exponent(1024, 0.1)
+        assert 0.0 < rep.exponent < 1.0
+        assert rep.k == 1024
 
 
 class TestComparisonTable:

@@ -175,6 +175,35 @@ class TestSolve:
         assert code == 0
         assert "best_weight=1.0" in out
 
+    def test_parse_warnings_on_stderr(self, tmp_path, capsys):
+        p = tmp_path / "trailer.cnf"
+        p.write_text("p cnf 2 1\n1 2 0\n0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(p), "--eps", "0.5")
+        assert code == 0
+        assert err == "warning: line 3: legacy trailing '0' ignored\n"
+        assert "best_weight=1.0" in out
+
+    def test_wbar_line(self, capsys, tiny_cnf):
+        code, out, _ = run_cli(capsys, "solve", tiny_cnf, "--eps", "0.5", "--wbar", "6")
+        assert code == 0
+        report = dict(line.split("=", 1) for line in out.splitlines())
+        assert report["wbar"] == "6.0"
+        assert report["eps_eff"] == repr(0.5 * 6.0 / 12.0)
+        assert report["guarantee"] == "multiplicative"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p wcnf 2 1\n1e308 1 2 0\n", "p wcnf 2 2\n1e308 1 0\n1e308 2 0\n"],
+        ids=["length", "weight"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflowing_total_exit_4(self, tmp_path, capsys, command, text):
+        p = tmp_path / "huge.wcnf"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(p), "--eps", "0.5")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and "overflows" in err
+
     def test_wcnf_weights(self, tmp_path, capsys):
         p = tmp_path / "inst.wcnf"
         p.write_text("p wcnf 2 2\n2.5 1 0\n0.5 -2 0\n", encoding="utf-8")
@@ -210,6 +239,17 @@ class TestExponent:
         assert code == 0
         assert "exponent=0.9388542" in out
         assert "delta_star=2.000000000" in out
+
+    def test_hirsch1(self, capsys):
+        code, out, _ = run_cli(capsys, "exponent", "--method", "hirsch1", "--k", "3", "--eps", "0.1")
+        assert code == 0
+        assert "method=hirsch1" in out
+        assert "exponent=0.9569313" in out
+
+    def test_k_1024(self, capsys):
+        code, out, _ = run_cli(capsys, "exponent", "--method", "ours", "--k", "1024", "--eps", "0.1")
+        assert code == 0
+        assert "k=1024" in out
 
     def test_ept_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "exponent", "--method", "ept", "--eps", "0.9")
@@ -248,12 +288,34 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[0].split() == ["k", "eps", "hirsch2", "ours"]
 
+    def test_check_mismatch_exit_5(self, capsys, monkeypatch):
+        import dataclasses
+
+        from maxcsp import bounds
+
+        rows = list(bounds.PUBLISHED_EXPONENTS)
+        rows[0] = dataclasses.replace(rows[0], ours=0.5)
+        monkeypatch.setattr(bounds, "PUBLISHED_EXPONENTS", tuple(rows))
+        code, out, err = run_cli(capsys, "table", "--check")
+        assert code == 5
+        assert out.splitlines()[-1] == "check=failed rows=27 mismatches=1"
+        assert err == (
+            "mismatch k=3 eps=1/8: hirsch2 0.9455522 vs 0.9455522, ours 0.8740555 vs 0.5000000\n"
+        )
+
 
 class TestVerify:
     def test_passes_on_generated(self, capsys, tiny_cnf):
         code, out, _ = run_cli(capsys, "verify", tiny_cnf, "--eps", "0.25")
         assert code == 0
         assert "all_pass=1" in out
+
+    def test_human_rendering(self, capsys, tiny_cnf):
+        code, out, _ = run_cli(capsys, "verify", tiny_cnf, "--eps", "0.25", "--human")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("  delta=")]
+        assert rows and all("count_ok=True members_ok=True" in row for row in rows)
+        assert out.splitlines()[-1] == "all_pass=1"
 
     def test_passes_full_relaxation(self, capsys, tiny_cnf):
         code, out, _ = run_cli(capsys, "verify", tiny_cnf, "--eps", "1")

@@ -2,6 +2,7 @@ import pytest
 
 from maxcsp import (
     Assignment,
+    DomainError,
     FormatError,
     UnsupportedError,
     detect_format,
@@ -184,6 +185,73 @@ class TestParseCsp:
             parse_csp("csp 1\nt 1 2 1 2 0110\n")
 
 
+_LONG_CLAUSE = " ".join(map(str, range(1, 11))) + "\n" + " ".join(map(str, range(11, 22))) + " 0\n"
+
+
+@pytest.mark.parametrize(
+    "parser, text, line",
+    [
+        (parse_cnf, "p wcnf 2 1\n1 1 0\n", 1),
+        (parse_cnf, "p cnf 2\n1 0\n", 1),
+        (parse_wcnf, "p wcnf 2 1 9 9\n1 1 0\n", 1),
+        (parse_cnf, "p cnf two 1\n1 0\n", 1),
+        (parse_cnf, "p cnf 0 1\n1 0\n", 1),
+        (parse_wcnf, "p wcnf 2 1 top\n1 1 0\n", 1),
+        (parse_cnf, "c only\nc comments\n", 2),
+        (parse_wcnf, "p wcnf 2 1\nw 1 0\n", 2),
+        (parse_wcnf, "p wcnf 2 2\n1 1 0\ninf 2 0\n", 3),
+        (parse_cnf, "p cnf 2 1\n1 p 0\n", 2),
+        (parse_cnf, "p cnf 21 1\n" + _LONG_CLAUSE, 2),
+        (parse_csp, "csp x\n", 1),
+        (parse_csp, "csp 0\n", 1),
+        (parse_csp, "csp 2\nu 1 1 1 01\n", 2),
+        (parse_csp, "csp 2\nt 1 1\n", 2),
+        (parse_csp, "csp 2\nt w 1 1 01\n", 2),
+        (parse_csp, "csp 2\nt 1 a 1 01\n", 2),
+        (parse_csp, "csp 2\nt 1 2 1 0110\n", 2),
+        (parse_csp, "csp 2\nt 1 1 x 01\n", 2),
+        (parse_csp, "# only\n\n# comments\n", 3),
+    ],
+    ids=[
+        "dimacs-wrong-kind",
+        "dimacs-field-count",
+        "wcnf-field-count",
+        "dimacs-counts-not-integers",
+        "dimacs-counts-below-one",
+        "wcnf-top-not-number",
+        "dimacs-no-header",
+        "wcnf-weight-not-number",
+        "wcnf-weight-not-finite",
+        "dimacs-p-in-clause-data",
+        "dimacs-21-literals-at-start-line",
+        "csp-n-not-integer",
+        "csp-n-below-one",
+        "csp-no-leading-t",
+        "csp-truncated",
+        "csp-weight-not-number",
+        "csp-arity-not-integer",
+        "csp-field-count",
+        "csp-variable-not-integer",
+        "csp-no-header",
+    ],
+)
+def test_parser_rejections(parser, text, line):
+    with pytest.raises(FormatError) as exc:
+        parser(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["p wcnf 2 1\n1e308 1 2 0\n", "p wcnf 2 2\n1e308 1 0\n1e308 2 0\n"],
+    ids=["length", "weight"],
+)
+def test_overflowing_totals_rejected(text):
+    # each is a valid weight, but the weighted length sums to inf
+    with pytest.raises(DomainError, match="overflows"):
+        parse_wcnf(text)
+
+
 class TestSerialize:
     def test_cnf_roundtrip(self):
         text = "p cnf 4 2\n1 2 3 0\n-1 2 -4 0\n"
@@ -219,6 +287,11 @@ class TestSerialize:
         inst, _ = parse_cnf("p cnf 1 1\n1 0\n")
         with pytest.raises(UnsupportedError):
             serialize(inst, "qdimacs")
+
+    def test_csp_instance_as_wcnf(self):
+        inst, _ = parse_csp("csp 2\nt 1 2 1 2 0111\n")
+        with pytest.raises(UnsupportedError, match="wcnf"):
+            serialize(inst, "wcnf")
 
     def test_real_weight_tokens_roundtrip(self):
         inst, _ = parse_wcnf("p wcnf 2 2\n2.5 1 0\n0.125 -2 0\n")
@@ -261,3 +334,7 @@ class TestDetect:
         assert diags.source_kind == "csp"
         inst, diags = parse("p wcnf 1 1\n2 1 0\n")
         assert diags.source_kind == "wcnf"
+
+    def test_parse_unknown_kind(self):
+        with pytest.raises(UnsupportedError, match="xyz"):
+            parse("p cnf 1 1\n1 0\n", "xyz")

@@ -16,6 +16,9 @@ from maxcsp import (
     clause_literals,
     contribution,
     ksat_optimum_lower_bound,
+    random_csp,
+    random_ekcnf,
+    random_wcnf,
     weight_of,
     weight_of_batch,
 )
@@ -101,6 +104,10 @@ class TestClauseFromLiterals:
         with pytest.raises(FormatError):
             clause_from_literals((1, 0), 1.0)
 
+    def test_rejects_21_literals(self):
+        with pytest.raises(FormatError, match="arity 21"):
+            clause_from_literals(range(1, 22), 1.0)
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DomainError):
             clause_from_literals((1,), 0.0)
@@ -147,11 +154,27 @@ class TestKsatLowerBound:
             m = sum(hist.values())
             assert ksat_optimum_lower_bound(hist) >= m / 2
 
+    def test_matches_integer_ratio_while_it_fits_a_float(self):
+        for i in range(1, 1024):
+            assert ksat_optimum_lower_bound({i: 1}) == float((1 << i) - 1) / float(1 << i)
+
+    def test_length_1024_is_finite(self):
+        # 2^1024 does not fit a float; (2^k - 1)/2^k rounds to 1 long before
+        assert ksat_optimum_lower_bound({1024: 3}) == 3.0
+
 
 class TestValidation:
     def test_arity_cap(self):
         with pytest.raises(FormatError):
             Constraint(1.0, tuple(range(1, 22)), 0)
+
+    def test_no_variables(self):
+        with pytest.raises(FormatError, match="at least one variable"):
+            Constraint(1.0, (), 0)
+
+    def test_table_string_characters(self):
+        with pytest.raises(FormatError, match="'0'/'1'"):
+            Constraint.from_table_string(1.0, (1,), "02")
 
     def test_table_range(self):
         with pytest.raises(FormatError):
@@ -176,6 +199,24 @@ class TestValidation:
     def test_instance_needs_variables(self):
         with pytest.raises(DomainError):
             CspInstance(0, (clause_from_literals((1,), 1.0),))
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [
+            (clause_from_literals((1, 2), 1e308),),
+            (clause_from_literals((1,), 1e308), clause_from_literals((2,), 1e308)),
+        ],
+        ids=["length", "weight"],
+    )
+    def test_instance_total_must_be_finite(self, constraints):
+        # every weight is finite, but the weighted length sums to inf
+        with pytest.raises(DomainError, match="overflows"):
+            CspInstance(2, constraints)
+
+    @pytest.mark.parametrize("builder", [random_ekcnf, random_wcnf, random_csp])
+    def test_generators_need_variables(self, builder):
+        with pytest.raises(DomainError, match="at least one variable"):
+            builder(0, 5, 3, seed=1)
 
     def test_assignment_bits(self):
         with pytest.raises(DomainError):

@@ -220,5 +220,11 @@ class TestVerifyEntropyScaling:
         with pytest.raises(DomainError):
             verify_entropy_scaling(0)
 
+    @pytest.mark.parametrize("samples", [2.5, 100.0, "100"])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(DomainError, match="samples"):
+            verify_entropy_scaling(samples)
+        assert verify_entropy_scaling(np.int64(5)).samples == 5
+
     def test_deterministic(self):
         assert verify_entropy_scaling(500, seed=9) == verify_entropy_scaling(500, seed=9)

@@ -91,6 +91,19 @@ class TestBudget:
             SamplerConfig(epsilon=0.1, parallelism=0)
         with pytest.raises(DomainError):
             SamplerConfig(epsilon=0.1, max_iterations=0)
+        with pytest.raises(DomainError, match="w_bar"):
+            SamplerConfig(epsilon=0.1, w_bar=0)
+        with pytest.raises(DomainError, match="64 bits"):
+            SamplerConfig(epsilon=0.1, seed=2**64)
+        SamplerConfig(epsilon=0.1, seed=2**64 - 1)
+
+    def test_config_rejects_nan_w_bar_at_construction(self):
+        with pytest.raises(DomainError, match="w_bar"):
+            SamplerConfig(epsilon=0.1, w_bar=math.nan)
+        # w is not known yet, so an infinite w_bar waits for solve
+        cfg = SamplerConfig(epsilon=0.1, w_bar=math.inf)
+        with pytest.raises(DomainError, match="w_bar"):
+            solve(random_ekcnf(8, 20, 3, seed=2), cfg)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -395,6 +408,13 @@ class TestSolveKsat:
         inst = clauses_instance(4, [(1, 2, 3, 4)])
         with pytest.raises(DomainError):
             solve_ksat(inst, 3, epsilon=0.5)
+
+    @pytest.mark.parametrize("k", [3.9, 3.7, "3", 3.0])
+    def test_rejects_non_integer_k(self, k):
+        inst = random_ekcnf(10, 24, 3, seed=6)
+        with pytest.raises(DomainError, match="k must be an integer"):
+            solve_ksat(inst, k, epsilon=0.2)
+        assert solve_ksat(inst, np.int64(3), epsilon=0.2) == solve_ksat(inst, 3, epsilon=0.2)
 
     def test_light_statistical_guarantee(self):
         inst = random_ekcnf(12, 40, 3, seed=400)
