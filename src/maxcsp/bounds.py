@@ -179,7 +179,10 @@ def counting_bound(
     slack = Fraction(eps_eff) * Fraction(w)
     need = Fraction(ell) + slack
 
-    tau_lo = float(need / n)
+    try:
+        tau_lo = float(need / n)
+    except OverflowError:  # only at n = 1: for n >= 2, need / n <= l stays finite
+        raise DomainError(f"threshold (l + eps*w)/n at l={ell}, n={n} overflows a float") from None
     if Fraction(tau_lo) * n < need:
         tau_lo = math.nextafter(tau_lo, math.inf)
     contributions = sorted(inst.contributions)
@@ -271,7 +274,7 @@ def exponent_ours_csp(
     w_bar: float | None = None,
 ) -> ExponentReport:
     """Sampling-algorithm exponent for a weighted instance shape (w, l)."""
-    w, ell = float(w), float(ell)
+    w, ell = _real("w", w), _real("ell", ell)
     if not 0.0 < w <= ell:
         raise DomainError("need 0 < w <= ell")
     epsilon = _check_epsilon(epsilon)
@@ -329,7 +332,7 @@ def exponent_ept(epsilon: float, alpha: float = DEFAULT_EPT_ALPHA) -> ExponentRe
     only applies while eps < 1 - alpha.
     """
     epsilon = _check_epsilon(epsilon)
-    alpha = float(alpha)
+    alpha = _real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha {alpha} outside (0, 1)")
     if epsilon >= 1.0 - alpha:

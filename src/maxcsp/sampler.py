@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import _check_epsilon, _check_w_bar, _integer, counting_bound
+from .bounds import _check_epsilon, _check_w_bar, _integer, _real, counting_bound
 from .errors import BudgetOverflowError, DomainError, UnsupportedError
 from .instance import (
     Assignment,
@@ -63,7 +63,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if not 0.0 < self.fail_prob < 1.0:
+        if not 0.0 < _real("fail_prob", self.fail_prob) < 1.0:
             raise DomainError(f"fail_prob {self.fail_prob} outside (0, 1)")
         if self.w_bar is not None:
             _check_w_bar(self.w_bar, math.inf)  # the total weight w is not known yet
@@ -113,16 +113,18 @@ def iteration_budget(inst: CspInstance, cfg: SamplerConfig) -> int:
 
 def _scan_chunk(inst: CspInstance, seed: int, start: int, count: int) -> list[tuple[int, float]]:
     """Strict prefix maxima (index, weight) of samples [start, start + count), in index order."""
-    bits = assignment_bits(seed, start, count, inst.num_vars)
-    weights = weight_of_batch(inst, bits)
-    # the running maximum equals the weight wherever it rises
-    running = np.maximum.accumulate(weights)
-    rises = np.flatnonzero(running[1:] > running[:-1]) + 1
-    events = [(start + int(j), float(running[j])) for j in (0, *rises)]
-    # free newest first: the bit matrix, the oldest and largest, then rejoins
-    # the top of the heap, so the next chunk faults in fewer fresh pages (glibc
-    # malloc, n=12: about 120 page faults per solve, 94-211 in default order)
-    del running, weights, bits
+    weights = weight_of_batch(inst, assignment_bits(seed, start, count, inst.num_vars))
+    # a row rises above every earlier row only inside a 64-row block whose
+    # maximum rises above every earlier block's, so only those blocks are scanned
+    peaks = np.maximum.reduceat(weights, np.arange(0, count, 64))
+    floors = np.maximum.accumulate(np.concatenate(([-math.inf], peaks[:-1])))
+    events = []
+    for b in np.flatnonzero(peaks > floors).tolist():
+        best = float(floors[b])
+        for i, w in enumerate(weights[64 * b : 64 * b + 64].tolist(), start + 64 * b):
+            if w > best:
+                events.append((i, w))
+                best = w
     return events
 
 

@@ -20,6 +20,7 @@ from maxcsp import (
     exponent_ours_ksat_delta2,
     entropy_scaling_gap,
     log2_binomial_sum,
+    parse,
     random_csp,
     random_ekcnf,
     random_wcnf,
@@ -259,6 +260,13 @@ class TestCountingBound:
         with pytest.raises(DomainError):
             counting_bound(two_triples, 0.5, w_bar=3.0)  # > w
 
+    def test_threshold_overflow_at_one_variable(self):
+        # l is finite, but (l + eps*w)/n exceeds the float range when n = 1
+        inst = parse("p wcnf 1 1\n1e308 1 0\n")[0]
+        with pytest.raises(DomainError, match="overflows a float"):
+            counting_bound(inst, 1.0)
+        assert counting_bound(inst, 0.5).per_delta[0].threshold == 1.5e308
+
 
 class TestExponents:
     def test_table_paper_values_spot(self):
@@ -399,13 +407,21 @@ class TestArgumentRules:
         ]
         return [("epsilon", f, 0.125) for f in epsilon] + [("w_bar", f, half) for f in w_bar]
 
+    # real arguments with a range rule of their own
+    OTHER_REALS = [
+        ("fail_prob", lambda v: SamplerConfig(epsilon=0.5, fail_prob=v), 0.5),
+        ("alpha", lambda v: exponent_ept(0.1, v), 0.5),
+        ("w", lambda v: exponent_ours_csp(v, 3.0, 0.5), 1.0),
+        ("ell", lambda v: exponent_ours_csp(1.0, v, 0.5), 3.0),
+    ]
+
     @pytest.mark.parametrize(
         "value",
         ["0.125", b"0.125", "x", [0.125], object(), 10**400],
         ids=["str", "bytes", "text", "list", "object", "int-overflow"],
     )
     def test_non_reals_are_domain_errors(self, value):
-        for name, call, good in self._entry_points():
+        for name, call, good in self._entry_points() + self.OTHER_REALS:
             call(good)
             with pytest.raises(DomainError, match=f"{name} must be a real number"):
                 call(value)

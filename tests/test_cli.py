@@ -193,8 +193,13 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "text",
-        ["p wcnf 2 1\n1e308 1 2 0\n", "p wcnf 2 2\n1e308 1 0\n1e308 2 0\n"],
-        ids=["length", "weight"],
+        [
+            "p wcnf 2 1\n1e308 1 2 0\n",
+            "p wcnf 2 2\n1e308 1 0\n1e308 2 0\n",
+            # l is finite, but the threshold (l + eps*w)/n is not at n = 1
+            "p wcnf 1 1\n1.5e308 1 0\n",
+        ],
+        ids=["length", "weight", "threshold"],
     )
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_overflowing_total_exit_4(self, tmp_path, capsys, command, text):

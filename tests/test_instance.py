@@ -302,6 +302,14 @@ def test_clause_tables_match_literal_semantics():
             assert bool((c.truth_table >> t) & 1) == expected
 
 
+def _mixed_clauses(rng):
+    """150 clauses of 1 to 4 literals over 12 variables."""
+    return [
+        [int(v) * int(rng.choice((-1, 1))) for v in rng.choice(12, size=size, replace=False) + 1]
+        for size in rng.integers(1, 5, size=150)
+    ]
+
+
 def test_batch_matches_scalar_exactly():
     rng = np.random.default_rng(11)
     from maxcsp import random_csp, random_ekcnf, random_wcnf
@@ -320,10 +328,7 @@ def test_batch_matches_scalar_exactly():
             Constraint(1.5, tuple(range(1, MAX_ARITY + 1)), wide_table),
         ),
     )
-    mixed = [
-        [int(v) * int(rng.choice((-1, 1))) for v in rng.choice(12, size=size, replace=False) + 1]
-        for size in rng.integers(1, 5, size=150)
-    ]
+    mixed = _mixed_clauses(rng)
     weights = rng.choice([1, 2, 7, 1000, 2**40], size=150)
     integral = clauses_instance(12, mixed, [float(w) for w in weights])
     # the exact total exceeds 2**53, so each later +1 rounds away in the
@@ -353,3 +358,32 @@ def test_batch_matches_scalar_exactly():
 def test_batch_dimension_check(single_pair):
     with pytest.raises(DimensionError):
         weight_of_batch(single_pair, np.zeros((3, 5), dtype=np.uint8))
+
+
+def test_stack_budget_never_changes_a_result(monkeypatch):
+    import maxcsp.instance
+
+    rng = np.random.default_rng(21)
+    integral = clauses_instance(
+        12, _mixed_clauses(rng), [float(w) for w in rng.choice([1, 2, 7, 1000, 2**40], size=150)]
+    )
+    # random tables of arity 1 to 4 give blocks of many shapes, most of them
+    # scattered; the arity-8 table takes the lookup route
+    tables = random_csp(12, 149, 4, seed=5).constraints
+    wide = Constraint(3.0, tuple(range(1, 9)), int.from_bytes(rng.bytes(32), "little"))
+    weighted = (Constraint(float(1 + i % 5), c.vars, c.truth_table) for i, c in enumerate(tables))
+    shapes = CspInstance(12, (*weighted, wide))
+    # every constraint in two weight bits: the first bit's sum must not
+    # overwrite the stack the second one reads
+    threes = clauses_instance(12, _mixed_clauses(rng), [3.0] * 150)
+    instances = [random_ekcnf(10, 150, 3, seed=2), integral, shapes, threes]
+    for rows in (0, 1, 63, 64, 65, 130):
+        # bytes of one block of 64 constraints at this row count
+        block = 8 * 64 * max(1, -(-rows // 64))
+        for inst in instances:
+            bits = rng.integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
+            expected = np.array([weight_of(inst, tuple(int(b) for b in row)) for row in bits])
+            for budget in (1, 2 * block, 1 << 62):
+                monkeypatch.setattr(maxcsp.instance, "_STACK_BYTES", budget)
+                got = weight_of_batch(inst, bits)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)

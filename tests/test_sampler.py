@@ -105,6 +105,12 @@ class TestBudget:
         with pytest.raises(DomainError, match="w_bar"):
             solve(random_ekcnf(8, 20, 3, seed=2), cfg)
 
+    @pytest.mark.parametrize("value", ["0.5", b"0.5", "x", None, [0.5]])
+    def test_config_rejects_non_real_fail_prob(self, value):
+        with pytest.raises(DomainError, match="fail_prob must be a real number"):
+            SamplerConfig(epsilon=0.2, fail_prob=value)
+        SamplerConfig(epsilon=0.2, fail_prob=np.float32(0.5))
+
     @pytest.mark.parametrize(
         "field, value",
         [("seed", 1.7), ("seed", "3"), ("max_iterations", 100.0), ("parallelism", 2.5)],

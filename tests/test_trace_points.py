@@ -6,8 +6,11 @@ from the bit matrix passed to ``maxcsp.sampler.weight_of_batch``. A caller
 that bypassed or renamed one of them would leave its spans empty, so these
 wrappers must see every sampled row and every oracle enumeration. The
 matrices the sampler hands to the kernel must stay in Fortran order, the
-layout it packs fastest.
+layout it packs fastest, and at parallelism 2 each worker's batch must run
+off the calling thread, where the tracer files it under the open solve span.
 """
+
+import threading
 
 import maxcsp
 import maxcsp.oracle as oracle
@@ -50,3 +53,12 @@ def test_traced_names_see_every_row(monkeypatch):
     rep = maxcsp.verify_counting_bound(inst, 0.125)
     assert rep.all_pass
     assert table == [1 << inst.num_vars]
+
+    # at parallelism 2 the benchmark hangs each worker's batch span under the
+    # open solve span: one batch per worker, both off the calling thread
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    threads = _counting(monkeypatch, sampler, "weight_of_batch", lambda a, r: threading.get_ident())
+    inst = maxcsp.random_ekcnf(16, 60, 3, seed=1)
+    cfg = maxcsp.SamplerConfig(epsilon=0.1, max_iterations=4000, parallelism=2)
+    assert maxcsp.solve(inst, cfg).iterations_used == 4000
+    assert len(threads) == 2 and threading.get_ident() not in threads
