@@ -66,6 +66,7 @@ def entropy_scaling_gap(x: float, y: float, r: float) -> float:
 
 def binomial_sum(s: int, r: int) -> int:
     """Exact sum_{i=0}^{r} C(s, i), by the integer recurrence C(s, i+1) = C(s, i)(s-i)/(i+1)."""
+    s, r = _integer("s", s), _integer("r", r)
     if s < 0 or r < 0:
         raise DomainError("binomial sum needs s >= 0 and r >= 0")
     term = total = 1
@@ -129,11 +130,21 @@ def _real(name: str, value) -> float:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else is a DomainError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; Python and numpy integers pass, a bool or any other is a DomainError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(value) -> int:
+    """``value`` as a seed, an integer in [0, 2**64); anything else is a DomainError."""
+    seed = _integer("seed", value)
+    if not 0 <= seed < 1 << 64:
+        raise DomainError(f"seed {seed} does not fit in 64 bits")
+    return seed
 
 
 def _check_epsilon(epsilon: float) -> float:

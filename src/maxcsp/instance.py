@@ -17,10 +17,10 @@ Conventions used throughout the package:
   and returns exactly ``weight_of``'s values: integer weights whose total is
   at most 2**53 are counted bit-sliced, which is exact in any order, and all
   other weights are added one constraint at a time in constraint order,
-  which repeats ``weight_of``'s float additions. The count column-sums one
-  stack of consecutive constraint blocks (``_STACK_BYTES``) at a time, by an
-  adder tree that works inside the stack, so its numpy calls are few and
-  large whatever the row count.
+  which repeats ``weight_of``'s float additions. Both read one loop of
+  stacks of consecutive constraint blocks (``_STACK_BYTES``): the count
+  column-sums each by an adder tree inside it, and the float sum unpacks it
+  in slices of that budget, so numpy calls are few and large at any row count.
 """
 
 from __future__ import annotations
@@ -232,36 +232,57 @@ def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarr
 
     Lane word (v, b) holds variable v of items 64b..64b+63, item 64b+i at
     bit i (``rng``: ``assignment_bits`` draws them, ``pack_lanes`` packs a
-    matrix into them); the values are ``weight_of_batch``'s. The float path
-    unpacks the satisfied words a few constraints at a time, in constraint
-    order, so it holds a few bytes per row rather than one per constraint.
+    matrix into them); the values are ``weight_of_batch``'s. Both sums read
+    one loop over ``_stacks``; the counts are decoded once at the end.
     """
     blocks, counted = inst._lane_plan
-    if counted:
-        return _counted_sum(blocks, lanes, rows)
-    out, term = np.zeros(rows), np.empty(rows)
-    for block in blocks:
-        stack = np.empty((len(block.weights), lanes.shape[1]), np.uint64)
-        _satisfied_words(block, lanes, stack)
-        for k in range(0, len(stack), _UNPACK):
-            satisfied = unpack_bits(stack[k : k + _UNPACK], rows)
-            for weight, bits in zip(block.weights[k : k + _UNPACK], satisfied):
-                out += np.multiply(bits, weight, out=term)
+    # the counted path takes its row-sized arrays only once the stack buffer is gone
+    out, term = (None, None) if counted else (np.zeros(rows), np.empty(rows))
+    # per weight bit k: bit planes of each row's count of satisfied members, and the member count
+    totals: dict[int, tuple[list[np.ndarray], int]] = {}
+    for weights, stack in _stacks(blocks, lanes):
+        if not counted:
+            step = max(1, _STACK_BYTES // max(rows, 1))
+            for k in range(0, len(stack), step):
+                satisfied = unpack_bits(stack[k : k + step], rows)
+                for weight, bits in zip(weights[k : k + step], satisfied):
+                    out += np.multiply(bits, weight, out=term)
+            continue
+        weights = weights.astype(np.int64)
+        present = int(np.bitwise_or.reduce(weights))
+        for k in range(present.bit_length()):
+            if not present >> k & 1:
+                continue
+            member = (weights >> k) & 1 == 1
+            count = int(member.sum())
+            planes, seen = totals.get(k, ([], 0))
+            seen += count
+            # the column sum overwrites its input: the stack itself only for the last bit
+            last = present >> (k + 1) == 0
+            stack_sum = _column_sum(stack if last and count == len(stack) else stack[member])
+            totals[k] = (_add(planes, stack_sum)[: seen.bit_length()], seen)
+    if not counted:
+        return out
+    stack = None  # the last stack view would keep the buffer alive through the decode
+    out = np.zeros(rows)
+    for k, (planes, seen) in totals.items():
+        out += _values(np.concatenate(planes), rows, np.min_scalar_type(seen)) * float(1 << k)
     return out
 
 
 # satisfiable constraints per block of the plan, grouped by expression shape
 _BLOCK = 64
-# bytes of satisfied words (constraints * words * 8) column-summed as one
-# stack on the counted path, at least one block. Each numpy call there has a
-# fixed cost, so fewer, larger stacks are faster, at some memory. On the
-# sample_e3cnf benchmark (E3-CNF n=200, m=850, a solve at parallelism 1 then
-# 2; 2 cores, medians of 5 runs) a round took 22.3, 20.3 and 18.4 ms at
-# 2**18, 2**19 and 2**20 bytes, with peak RSS 1.5%, 2.5% and 4.4% above
-# summing each block alone (29.3 ms)
+# bytes of satisfied words (constraints * words * 8) in one stack, at least
+# one block, and of satisfied bits the float path unpacks at once (one per
+# row and constraint). Each numpy call has a fixed cost, so fewer, larger
+# stacks are faster, at some memory. On the sample_e3cnf benchmark (E3-CNF
+# n=200, m=850, a solve at parallelism 1 then 2; 2 cores, medians of 5 runs)
+# a round took 22.3, 20.3 and 18.4 ms at 2**18, 2**19 and 2**20 bytes, with
+# peak RSS 1.5%, 2.5% and 4.4% above summing each block alone (29.3 ms). The
+# float path's 2 calls per constraint dominate it: on sample_wcnf_wide's
+# instance at 16,768 rows a call took 40-49 ms at all three budgets and with
+# 8 words per unpack (medians of 21 calls, three processes each)
 _STACK_BYTES = 1 << 19
-# satisfied words unpacked at once on the float path
-_UNPACK = 8
 # an expansion costing more word operations per variable than this loses to
 # unpacking the variables and looking each row up in the table
 _OPS_PER_VAR = 16
@@ -391,20 +412,21 @@ def _shape_words(shape, variables, negations, lanes: np.ndarray, out=None) -> np
     return words
 
 
-def _lookup(lanes: np.ndarray, table: np.ndarray, variables: tuple[int, ...]) -> np.ndarray:
-    """Satisfied words of a wide table: unpack its variables, look the rows up, pack back."""
-    rows = 64 * lanes.shape[1]
-    t = np.zeros(rows, np.intp)
-    for j, col in enumerate(unpack_bits(lanes[list(variables)], rows)):
-        t |= col.astype(np.intp) << j
-    return np.packbits(table[t], bitorder="little").view("<u8")
+def _values(planes: np.ndarray, rows: int, dtype) -> np.ndarray:
+    """Per-row integers whose bit j is lane-word plane j; each shifts in from the top, in place."""
+    value = np.zeros(rows, dtype)
+    for plane in unpack_bits(planes[::-1], rows):
+        value <<= 1
+        value |= plane
+    return value
 
 
 def _satisfied_words(block: _Block, lanes: np.ndarray, stack: np.ndarray) -> None:
-    """Fill the (constraints, words) ``stack`` with a block's satisfied words, in constraint order.
+    """Fill the first rows of the (rows, words) ``stack`` with a block's satisfied words, in order.
 
     A shape group whose rows form one run is evaluated straight into them;
-    the other groups and the lookups are evaluated apart and scattered.
+    the other groups are evaluated apart and scattered. A wide table unpacks
+    its variables into row indices, looks each row up and packs it back.
     """
     for shape, rows, variables, negations in block.groups:
         if shape is True:
@@ -414,7 +436,29 @@ def _satisfied_words(block: _Block, lanes: np.ndarray, stack: np.ndarray) -> Non
         else:
             stack[rows] = _shape_words(shape, variables, negations, lanes)
     for row, table, variables in block.lookups:
-        stack[row] = _lookup(lanes, table, variables)
+        t = _values(lanes[list(variables)], 64 * lanes.shape[1], np.intp)
+        stack[row] = np.packbits(table[t], bitorder="little").view("<u8")
+
+
+def _stacks(blocks: list[_Block], lanes: np.ndarray):
+    """(weights, stack) per run of consecutive blocks; the stack holds their satisfied words.
+
+    Every stack is a view of one buffer of at most ``_STACK_BYTES`` (at least
+    one block), which the next stack overwrites. Rows and weights are in
+    constraint order.
+    """
+    words = lanes.shape[1]
+    per_stack = max(1, _STACK_BYTES // (8 * _BLOCK * max(words, 1)))
+    size = min(per_stack * _BLOCK, sum(len(block.weights) for block in blocks))
+    buffer = np.empty((size, words), np.uint64)
+    for first in range(0, len(blocks), per_stack):
+        run = blocks[first : first + per_stack]
+        weights = np.concatenate([block.weights for block in run])
+        stack = buffer[: len(weights)]
+        # every block of the plan but the last holds _BLOCK constraints
+        for i, block in enumerate(run):
+            _satisfied_words(block, lanes, stack[i * _BLOCK :])
+        yield weights, stack
 
 
 def _add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
@@ -473,55 +517,6 @@ def _column_sum(stack: np.ndarray) -> list[np.ndarray]:
     for number in spare:
         planes = _add(planes, number)
     return [plane.copy() for plane in planes]
-
-
-def _counted_sum(blocks: list[_Block], lanes: np.ndarray, rows: int) -> np.ndarray:
-    """Exact weights from bit-sliced counts of the satisfied constraints per weight bit."""
-    totals = _counts(blocks, lanes)
-    out, term = np.zeros(rows), np.empty(rows)
-    for k, (planes, seen) in totals.items():
-        # the count of weight bit k, most significant plane first
-        count = np.zeros(rows, np.min_scalar_type(seen))
-        for plane in unpack_bits(np.concatenate(planes[::-1]), rows):
-            count <<= 1
-            count |= plane
-        out += np.multiply(count, float(1 << k), out=term)
-    return out
-
-
-def _counts(blocks: list[_Block], lanes: np.ndarray) -> dict[int, tuple[list[np.ndarray], int]]:
-    """Per weight bit k: bit planes of each row's count of satisfied members, and the member count.
-
-    Runs of consecutive blocks are evaluated into one reused stack buffer of
-    at most ``_STACK_BYTES`` (at least one block), and each weight bit's
-    members of a stack are column-summed together.
-    """
-    words = lanes.shape[1]
-    per_stack = max(1, _STACK_BYTES // (8 * _BLOCK * max(words, 1)))
-    size = min(per_stack * _BLOCK, sum(len(block.weights) for block in blocks))
-    buffer = np.empty((size, words), np.uint64)
-    totals: dict[int, tuple[list[np.ndarray], int]] = {}
-    for first in range(0, len(blocks), per_stack):
-        run = blocks[first : first + per_stack]
-        weights = np.concatenate([block.weights for block in run]).astype(np.int64)
-        stack = buffer[: len(weights)]
-        end = 0
-        for block in run:
-            start, end = end, end + len(block.weights)
-            _satisfied_words(block, lanes, stack[start:end])
-        present = int(np.bitwise_or.reduce(weights))
-        for k in range(present.bit_length()):
-            if not present >> k & 1:
-                continue
-            member = (weights >> k) & 1 == 1
-            count = int(member.sum())
-            planes, seen = totals.get(k, ([], 0))
-            seen += count
-            # the column sum overwrites its input: the stack itself only for the last bit
-            last = present >> (k + 1) == 0
-            stack_sum = _column_sum(stack if last and count == len(stack) else stack[member])
-            totals[k] = (_add(planes, stack_sum)[: seen.bit_length()], seen)
-    return totals
 
 
 def contribution(inst: CspInstance, i: int) -> float:

@@ -23,7 +23,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .bounds import _check_epsilon, _integer, binomial_sum, counting_bound, entropy_scaling_gap
+from .bounds import (
+    _check_epsilon,
+    _integer,
+    _seed,
+    binomial_sum,
+    counting_bound,
+    entropy_scaling_gap,
+)
 from .errors import DomainError, SizeError
 from .instance import Assignment, CspInstance, weight_of_lanes
 from .rng import enumeration_lanes
@@ -36,7 +43,7 @@ _CHUNK = 1 << 16
 def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
     """Weight of every assignment, indexed by the packed bit value."""
     n = inst.num_vars
-    if n > cap:
+    if n > _integer("cap", cap):
         raise SizeError(f"{n} variables exceed the enumeration cap {cap}")
     size = 1 << n
     try:
@@ -176,7 +183,8 @@ def verify_entropy_scaling(samples: int, seed: int = 0) -> EntropyScalingReport:
     Draws valid (x, y, r) triples and returns the worst entropy_scaling_gap; pass
     means the minimum never drops below -1e-12.
     """
-    if _integer("samples", samples) < 1:
+    samples, seed = _integer("samples", samples), _seed(seed)
+    if samples < 1:
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
     ys = rng.uniform(1e-6, 50.0, samples)

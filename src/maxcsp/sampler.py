@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import _check_epsilon, _check_w_bar, _integer, _real, counting_bound
+from .bounds import _check_epsilon, _check_w_bar, _integer, _real, _seed, counting_bound
 from .errors import BudgetOverflowError, DomainError, UnsupportedError
 from .instance import (
     Assignment,
@@ -67,11 +67,15 @@ class SamplerConfig:
             raise DomainError(f"fail_prob {self.fail_prob} outside (0, 1)")
         if self.w_bar is not None:
             _check_w_bar(self.w_bar, math.inf)  # the total weight w is not known yet
-        if not 0 <= _integer("seed", self.seed) < 1 << 64:
-            raise DomainError("seed must fit in 64 bits")
-        if self.max_iterations is not None and _integer("max_iterations", self.max_iterations) < 1:
-            raise DomainError("max_iterations must be positive")
-        if _integer("parallelism", self.parallelism) < 1:
+        # the checked fields hold plain ints, whatever integer type the caller passed
+        object.__setattr__(self, "seed", _seed(self.seed))
+        if self.max_iterations is not None:
+            cap = _integer("max_iterations", self.max_iterations)
+            object.__setattr__(self, "max_iterations", cap)
+            if cap < 1:
+                raise DomainError("max_iterations must be positive")
+        object.__setattr__(self, "parallelism", _integer("parallelism", self.parallelism))
+        if self.parallelism < 1:
             raise DomainError("parallelism must be positive")
 
 

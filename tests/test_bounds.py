@@ -27,8 +27,11 @@ from maxcsp import (
     comparison_table,
     count_near_optimal,
     solve_ksat,
+    brute_force_optimum,
     verify_counting_bound,
+    verify_entropy_scaling,
 )
+from maxcsp.instance import MAX_ARITY
 
 from helpers import clauses_instance
 
@@ -380,6 +383,12 @@ class TestExponents:
 
 
 K_EXPONENTS = [exponent_ours_eksat, exponent_ours_ksat_delta2, exponent_hirsch1, exponent_hirsch2]
+# each generator with the names of its count and width arguments
+GENERATORS = [
+    (random_ekcnf, "num_clauses", "k"),
+    (random_wcnf, "num_clauses", "max_len"),
+    (random_csp, "num_constraints", "max_arity"),
+]
 
 
 class TestArgumentRules:
@@ -438,6 +447,62 @@ class TestArgumentRules:
         with pytest.raises(DomainError, match="k must be an integer"):
             exponent(k, 0.1)
         assert exponent(np.int64(3), 0.1) == exponent(3, 0.1)
+
+    @staticmethod
+    def _integer_arguments():
+        """(name, call, valid value) for each integer argument outside the k exponents."""
+        inst = random_ekcnf(6, 12, 3, seed=1)
+        calls = [
+            ("k", lambda v: solve_ksat(inst, v, 0.5, max_iterations=64), 3),
+            ("seed", lambda v: SamplerConfig(epsilon=0.5, seed=v), 3),
+            ("max_iterations", lambda v: SamplerConfig(epsilon=0.5, max_iterations=v), 3),
+            ("parallelism", lambda v: SamplerConfig(epsilon=0.5, parallelism=v), 3),
+            ("samples", lambda v: verify_entropy_scaling(v), 3),
+            ("seed", lambda v: verify_entropy_scaling(3, seed=v), 3),
+            ("cap", lambda v: brute_force_optimum(inst, cap=v), 6),
+            ("s", lambda v: binomial_sum(v, 2), 5),
+            ("r", lambda v: binomial_sum(5, v), 2),
+            ("s", lambda v: log2_binomial_sum(v, 2), 5),
+            ("r", lambda v: log2_binomial_sum(5, v), 2),
+        ]
+        for gen, count, width in GENERATORS:
+            calls += [
+                ("num_vars", lambda v, g=gen: g(v, 4, 3, 1), 6),
+                (count, lambda v, g=gen: g(6, v, 3, 1), 4),
+                (width, lambda v, g=gen: g(6, 4, v, 1), 3),
+                ("seed", lambda v, g=gen: g(6, 4, 3, v), 3),
+            ]
+        return calls
+
+    @pytest.mark.parametrize(
+        "value", [2.5, 3.0, np.float64(3), "3", True, np.bool_(True)], ids=repr
+    )
+    def test_non_integers_are_domain_errors(self, value):
+        for name, call, good in self._integer_arguments():
+            call(good)
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                call(value)
+
+    def test_numpy_integers_act_as_ints(self):
+        for name, call, good in self._integer_arguments():
+            assert call(np.int64(good)) == call(good), name
+        report = verify_entropy_scaling(np.int64(3), seed=np.uint64(5))
+        assert type(report.samples) is int and type(report.seed) is int
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
+    def test_seed_outside_64_bits(self, seed):
+        seeds = [call for name, call, _ in self._integer_arguments() if name == "seed"]
+        for call in seeds:
+            call(2**64 - 1)
+            with pytest.raises(DomainError, match="64 bits"):
+                call(seed)
+
+    @pytest.mark.parametrize("gen, count, width", GENERATORS)
+    @pytest.mark.parametrize("value", [0, -1, MAX_ARITY + 1, MAX_ARITY + 2])
+    def test_generator_width_outside_arity_range(self, gen, count, width, value):
+        # rejected before any draw, also past num_vars (which alone clamps it)
+        with pytest.raises(DomainError, match=f"{width}={value} outside 1..{MAX_ARITY}"):
+            gen(MAX_ARITY + 2, 30, value, 0)
 
     @pytest.mark.parametrize("exponent", K_EXPONENTS)
     def test_k_1024_is_finite(self, exponent):

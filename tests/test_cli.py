@@ -44,6 +44,16 @@ class TestGen:
         assert code == 4
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "n, m, k, seed",
+        [("5", "3", "3", "-1"), ("5", "3", "3", str(2**64)), ("30", "3", "21", "0")],
+        ids=["negative-seed", "seed-2^64", "k-above-max-arity"],
+    )
+    def test_seed_and_k_out_of_range(self, capsys, n, m, k, seed):
+        code, out, err = run_cli(capsys, "gen", "--n", n, "--m", m, "--k", k, "--seed", seed)
+        assert code == 4
+        assert out == "" and err.startswith("error: ")
+
 
 class TestSolve:
     def test_report_fields_and_determinism(self, capsys, tiny_cnf):

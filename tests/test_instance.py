@@ -376,14 +376,26 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
     # every constraint in two weight bits: the first bit's sum must not
     # overwrite the stack the second one reads
     threes = clauses_instance(12, _mixed_clauses(rng), [3.0] * 150)
-    instances = [random_ekcnf(10, 150, 3, seed=2), integral, shapes, threes]
+    # the float path reads the same stacks: real weights, real weights over
+    # the shapes and the lookup, and an integral total past 2**53
+    real_shapes = CspInstance(12, (*random_csp(12, 149, 4, seed=6).constraints, wide))
+    over = clauses_instance(12, _mixed_clauses(rng), [2.0**53] + [1.0] * 149)
+    # no satisfiable constraint, so no stack at all, on either path
+    never = [
+        CspInstance(4, tuple(Constraint(w, (1 + i % 4,), 0) for i in range(70))) for w in (2.0, 2.5)
+    ]
+    counted = [random_ekcnf(10, 150, 3, seed=2), integral, shapes, threes, never[0]]
+    summed = [random_wcnf(12, 150, 5, 7), real_shapes, over, never[1]]
+    assert [inst._lane_plan[1] for inst in counted + summed] == [True] * 5 + [False] * 4
+    instances = counted + summed
     for rows in (0, 1, 63, 64, 65, 130):
         # bytes of one block of 64 constraints at this row count
         block = 8 * 64 * max(1, -(-rows // 64))
         for inst in instances:
             bits = rng.integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
             expected = np.array([weight_of(inst, tuple(int(b) for b in row)) for row in bits])
-            for budget in (1, 2 * block, 1 << 62):
+            # below one block, the float path unpacks one constraint at a time
+            for budget in (1, block, 2 * block, 1 << 62):
                 monkeypatch.setattr(maxcsp.instance, "_STACK_BYTES", budget)
                 got = weight_of_batch(inst, bits)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)

@@ -113,7 +113,15 @@ class TestBudget:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", 1.7), ("seed", "3"), ("max_iterations", 100.0), ("parallelism", 2.5)],
+        [
+            ("seed", 1.7),
+            ("seed", "3"),
+            ("seed", True),
+            ("max_iterations", 100.0),
+            ("max_iterations", True),
+            ("parallelism", 2.5),
+            ("parallelism", True),
+        ],
     )
     def test_config_rejects_non_integers(self, field, value):
         with pytest.raises(DomainError, match=field):
@@ -121,6 +129,16 @@ class TestBudget:
         # Python and numpy integers pass
         SamplerConfig(epsilon=0.2, **{field: np.int64(3)})
         SamplerConfig(epsilon=0.2, **{field: 3})
+
+    def test_config_and_result_hold_plain_ints(self):
+        cfg = SamplerConfig(
+            epsilon=0.2, seed=np.uint64(3), max_iterations=np.int64(50), parallelism=np.int8(2)
+        )
+        assert cfg == SamplerConfig(epsilon=0.2, seed=3, max_iterations=50, parallelism=2)
+        assert all(type(v) is int for v in (cfg.seed, cfg.max_iterations, cfg.parallelism))
+        res = solve(random_ekcnf(8, 20, 3, seed=2), cfg)
+        assert type(res.seed) is int and type(res.iterations_used) is int
+        assert res.iterations_used == 50
 
 
 class TestSolve:
