@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _real
 from .instance import CspInstance
 
 OURS_CSP = "ours_csp"
@@ -117,26 +116,6 @@ class CountingBound:
     @property
     def log2_count(self) -> float:
         return self.per_delta[self.best].log2_count
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float; a string, or anything float() rejects, is a DomainError."""
-    if not isinstance(value, (str, bytes, bytearray)):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise DomainError(f"{name} must be a real number, got {value!r}")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; Python and numpy integers pass, a bool or any other is a DomainError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _seed(value) -> int:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import _integer, _seed
-from .errors import DomainError
+from .bounds import _seed
+from .errors import DomainError, _integer
 from .instance import MAX_ARITY, Constraint, CspInstance, clause_from_literals
 
 

@@ -21,17 +21,26 @@ Conventions used throughout the package:
   stacks of consecutive constraint blocks (``_STACK_BYTES``): the count
   column-sums each by an adder tree inside it, and the float sum unpacks it
   in slices of that budget, so numpy calls are few and large at any row count.
+* The kernel's working arrays (the stack, the decoded counts, the float
+  sum's term) are kept per thread and reused by its next call (``_scratch``),
+  so a run of small calls does not make the allocator grow and trim the heap
+  every time. A thread keeps at most ``_STACK_BYTES`` of stack, or one block
+  of 64 constraints if that is larger, and at most 8 bytes per row of its
+  largest call for each of the other two. The oracle, whose calls are few
+  and large, gives them back after each table (``_release_scratch``).
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, UnsupportedError
+from .errors import DimensionError, DomainError, FormatError, UnsupportedError, _real
 from .rng import pack_lanes, unpack_bits
 
 MAX_ARITY = 20
@@ -46,7 +55,7 @@ class Constraint:
     truth_table: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", _real("weight", self.weight))
         object.__setattr__(self, "vars", tuple(int(v) for v in self.vars))
         object.__setattr__(self, "truth_table", int(self.truth_table))
         if not np.isfinite(self.weight) or self.weight <= 0.0:
@@ -204,8 +213,8 @@ def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> floa
     return total
 
 
-def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
-    """Vectorized weights for a (batch, num_vars) 0/1 matrix.
+def weight_of_batch(inst: CspInstance, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized weights for a (batch, num_vars) 0/1 matrix, into ``out`` if given.
 
     Accepts any memory order and any dtype holding 0/1 values; a
     Fortran-order matrix, as ``rng.assignment_bits`` returns, packs fastest.
@@ -217,29 +226,41 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     * Integer weights whose integral total is at most 2**53: every partial sum
       of ``weight_of`` is an integer of at most 2**53, hence exact, so any
       summation order gives its value. The satisfied words are counted
-      bit-sliced per weight bit, a stack of constraint blocks at a time, and
-      the counts are unpacked once.
+      bit-sliced per weight bit, a stack of constraint blocks at a time, into
+      one bit-sliced total, which is unpacked once.
     * Any other weights: ``out += weight * satisfied``, one constraint at a
       time in instance order, which repeats ``weight_of``'s float additions.
+
+    ``out``, a float64 array of shape (batch,), receives the weights and is
+    returned; without it the result is a new array.
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
-    return weight_of_lanes(inst, pack_lanes(bits), len(bits))
+    return weight_of_lanes(inst, pack_lanes(bits), len(bits), out)
 
 
-def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
-    """Weights of the first ``rows`` items of (num_vars, words) lane words.
+def weight_of_lanes(
+    inst: CspInstance, lanes: np.ndarray, rows: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Weights of the first ``rows`` items of (num_vars, words) lane words, into ``out`` if given.
 
     Lane word (v, b) holds variable v of items 64b..64b+63, item 64b+i at
     bit i (``rng``: ``assignment_bits`` draws them, ``pack_lanes`` packs a
-    matrix into them); the values are ``weight_of_batch``'s. Both sums read
-    one loop over ``_stacks``; the counts are decoded once at the end.
+    matrix into them); the values and ``out`` are ``weight_of_batch``'s. Both
+    sums read one loop over ``_stacks``; the count is decoded once at the end.
     """
+    if out is None:
+        out = np.empty(rows)
+    elif not isinstance(out, np.ndarray) or out.shape != (rows,) or out.dtype != np.float64:
+        raise DimensionError(f"out must be a float64 array of shape ({rows},)")
     blocks, counted = inst._lane_plan
-    # the counted path takes its row-sized arrays only once the stack buffer is gone
-    out, term = (None, None) if counted else (np.zeros(rows), np.empty(rows))
-    # per weight bit k: bit planes of each row's count of satisfied members, and the member count
-    totals: dict[int, tuple[list[np.ndarray], int]] = {}
+    if not counted:
+        out.fill(0.0)
+        term = _scratch("term", (rows,), np.float64)
+    # bit planes of each row's count, least significant first, and the
+    # weight of the constraints counted so far, which bounds every row's count
+    total: list[np.ndarray] = []
+    seen = 0
     for weights, stack in _stacks(blocks, lanes):
         if not counted:
             step = max(1, _STACK_BYTES // max(rows, 1))
@@ -254,19 +275,16 @@ def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarr
             if not present >> k & 1:
                 continue
             member = (weights >> k) & 1 == 1
-            count = int(member.sum())
-            planes, seen = totals.get(k, ([], 0))
-            seen += count
             # the column sum overwrites its input: the stack itself only for the last bit
             last = present >> (k + 1) == 0
-            stack_sum = _column_sum(stack if last and count == len(stack) else stack[member])
-            totals[k] = (_add(planes, stack_sum)[: seen.bit_length()], seen)
-    if not counted:
-        return out
-    stack = None  # the last stack view would keep the buffer alive through the decode
-    out = np.zeros(rows)
-    for k, (planes, seen) in totals.items():
-        out += _values(np.concatenate(planes), rows, np.min_scalar_type(seen)) * float(1 << k)
+            stack_sum = _column_sum(stack if last and member.all() else stack[member])
+            # members count 2**k each, so their sum adds into the total from plane k up
+            total += [np.zeros_like(stack_sum[0])] * (k - len(total))
+            total = total[:k] + _add(total[k:], stack_sum)
+        seen += int(weights.sum())
+        total = total[: seen.bit_length()]
+    if counted:
+        out[...] = _values(total, rows, _scratch("counts", (rows,), np.min_scalar_type(seen)))
     return out
 
 
@@ -287,6 +305,31 @@ _STACK_BYTES = 1 << 19
 # unpacking the variables and looking each row up in the table
 _OPS_PER_VAR = 16
 _ONES = 0xFFFFFFFFFFFFFFFF
+
+
+# each thread's working arrays of the kernel, by name (``_scratch``)
+_held = threading.local()
+
+
+def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's array for ``name``, in the memory its earlier requests took.
+
+    The memory grows to the largest request and is kept while the thread
+    lives. The content is whatever the last user left, and the next request
+    for ``name`` on this thread hands the same memory out again, so the
+    array must not outlive the call that takes it.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    arrays = vars(_held)  # the attributes of this thread only
+    if name not in arrays or arrays[name].nbytes < size:
+        arrays.pop(name, None)  # the smaller array goes before the larger one comes
+        arrays[name] = np.empty(size, np.uint8)
+    return arrays[name][:size].view(dtype).reshape(shape)
+
+
+def _release_scratch() -> None:
+    """Give back this thread's ``_scratch`` arrays; the next request takes new memory."""
+    vars(_held).clear()
 
 
 class _Block(NamedTuple):
@@ -412,13 +455,19 @@ def _shape_words(shape, variables, negations, lanes: np.ndarray, out=None) -> np
     return words
 
 
-def _values(planes: np.ndarray, rows: int, dtype) -> np.ndarray:
-    """Per-row integers whose bit j is lane-word plane j; each shifts in from the top, in place."""
-    value = np.zeros(rows, dtype)
-    for plane in unpack_bits(planes[::-1], rows):
-        value <<= 1
-        value |= plane
-    return value
+def _values(planes, rows: int, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with per-row integers whose bit j is lane-word plane j.
+
+    The planes are unpacked one at a time, each shifted in from the top in
+    place, so the decode holds one unpacked plane at a time, however many
+    bits the values have. The shift is a doubling: numpy adds 8-bit integers
+    about ten times faster than it shifts them.
+    """
+    out.fill(0)
+    for plane in planes[::-1]:
+        out += out
+        out |= unpack_bits(plane.reshape(1, -1), rows)[0]
+    return out
 
 
 def _satisfied_words(block: _Block, lanes: np.ndarray, stack: np.ndarray) -> None:
@@ -436,21 +485,22 @@ def _satisfied_words(block: _Block, lanes: np.ndarray, stack: np.ndarray) -> Non
         else:
             stack[rows] = _shape_words(shape, variables, negations, lanes)
     for row, table, variables in block.lookups:
-        t = _values(lanes[list(variables)], 64 * lanes.shape[1], np.intp)
+        count = 64 * lanes.shape[1]
+        t = _values(lanes[list(variables)], count, np.empty(count, np.intp))
         stack[row] = np.packbits(table[t], bitorder="little").view("<u8")
 
 
 def _stacks(blocks: list[_Block], lanes: np.ndarray):
     """(weights, stack) per run of consecutive blocks; the stack holds their satisfied words.
 
-    Every stack is a view of one buffer of at most ``_STACK_BYTES`` (at least
-    one block), which the next stack overwrites. Rows and weights are in
-    constraint order.
+    Every stack is a view of the thread's one stack buffer of at most
+    ``_STACK_BYTES`` (at least one block), which the next stack overwrites.
+    Rows and weights are in constraint order.
     """
     words = lanes.shape[1]
     per_stack = max(1, _STACK_BYTES // (8 * _BLOCK * max(words, 1)))
     size = min(per_stack * _BLOCK, sum(len(block.weights) for block in blocks))
-    buffer = np.empty((size, words), np.uint64)
+    buffer = _scratch("stack", (size, words), np.uint64)
     for first in range(0, len(blocks), per_stack):
         run = blocks[first : first + per_stack]
         weights = np.concatenate([block.weights for block in run])

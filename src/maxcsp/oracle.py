@@ -25,14 +25,13 @@ import numpy as np
 
 from .bounds import (
     _check_epsilon,
-    _integer,
     _seed,
     binomial_sum,
     counting_bound,
     entropy_scaling_gap,
 )
-from .errors import DomainError, SizeError
-from .instance import Assignment, CspInstance, weight_of_lanes
+from .errors import DomainError, SizeError, _integer
+from .instance import Assignment, CspInstance, _release_scratch, weight_of_lanes
 from .rng import enumeration_lanes
 
 ORACLE_CAP = 24
@@ -55,7 +54,11 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
     for start in range(0, size, _CHUNK):
         count = min(_CHUNK, size - start)
         lanes = enumeration_lanes(start, count, n)
-        out[start : start + count] = weight_of_lanes(inst, lanes, count)
+        weight_of_lanes(inst, lanes, count, out=out[start : start + count])
+    # the table is built from few, large chunks, so keeping their kernel
+    # arrays (about 1 MB at 65,536 rows) for the next call would save little
+    # and would add to the peak of the work the caller does with the table
+    _release_scratch()
     return out
 
 

@@ -14,6 +14,9 @@ of a multiple of 64 samples, so every chunk starts on a block of lane words
 matrix fits in 2**24 bytes, with rows clamped to [64, 65,536] (65,536 up to
 n = 256, 16,768 at n = 1000), so the working set stays bounded as n grows. A
 budget smaller than one such chunk per worker is shared out evenly instead.
+A chunk's weights go into an array its thread keeps for the next chunk
+(``instance._scratch``, as for the kernel's own working arrays), so a run
+of small solves does not grow and trim the heap on every call.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import _check_epsilon, _check_w_bar, _integer, _real, _seed, counting_bound
-from .errors import BudgetOverflowError, DomainError, UnsupportedError
+from .bounds import _check_epsilon, _check_w_bar, _seed, counting_bound
+from .errors import BudgetOverflowError, DomainError, UnsupportedError, _integer, _real
 from .instance import (
     Assignment,
     CspInstance,
+    _scratch,
     clause_length_histogram,
     ksat_optimum_lower_bound,
     weight_of_batch,
@@ -62,12 +66,15 @@ class SamplerConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
-        if not 0.0 < _real("fail_prob", self.fail_prob) < 1.0:
-            raise DomainError(f"fail_prob {self.fail_prob} outside (0, 1)")
+        # the checked fields hold plain floats and ints, whatever numeric type the caller passed
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
+        fail_prob = _real("fail_prob", self.fail_prob)
+        if not 0.0 < fail_prob < 1.0:
+            raise DomainError(f"fail_prob {fail_prob} outside (0, 1)")
+        object.__setattr__(self, "fail_prob", fail_prob)
         if self.w_bar is not None:
-            _check_w_bar(self.w_bar, math.inf)  # the total weight w is not known yet
-        # the checked fields hold plain ints, whatever integer type the caller passed
+            # the total weight w is not known yet
+            object.__setattr__(self, "w_bar", _check_w_bar(self.w_bar, math.inf))
         object.__setattr__(self, "seed", _seed(self.seed))
         if self.max_iterations is not None:
             cap = _integer("max_iterations", self.max_iterations)
@@ -117,7 +124,12 @@ def iteration_budget(inst: CspInstance, cfg: SamplerConfig) -> int:
 
 def _scan_chunk(inst: CspInstance, seed: int, start: int, count: int) -> list[tuple[int, float]]:
     """Strict prefix maxima (index, weight) of samples [start, start + count), in index order."""
-    weights = weight_of_batch(inst, assignment_bits(seed, start, count, inst.num_vars))
+    # the weights go into the thread's reused buffer: only the events leave this call
+    weights = weight_of_batch(
+        inst,
+        assignment_bits(seed, start, count, inst.num_vars),
+        out=_scratch("weights", (count,), np.float64),
+    )
     # a row rises above every earlier row only inside a 64-row block whose
     # maximum rises above every earlier block's, so only those blocks are scanned
     peaks = np.maximum.reduceat(weights, np.arange(0, count, 64))

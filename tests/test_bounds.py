@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from maxcsp import (
+    Constraint,
     DomainError,
     ExponentReport,
     PUBLISHED_EXPONENTS,
@@ -422,12 +423,13 @@ class TestArgumentRules:
         ("alpha", lambda v: exponent_ept(0.1, v), 0.5),
         ("w", lambda v: exponent_ours_csp(v, 3.0, 0.5), 1.0),
         ("ell", lambda v: exponent_ours_csp(1.0, v, 0.5), 3.0),
+        ("weight", lambda v: Constraint(v, (1,), 2), 1.0),
     ]
 
     @pytest.mark.parametrize(
         "value",
-        ["0.125", b"0.125", "x", [0.125], object(), 10**400],
-        ids=["str", "bytes", "text", "list", "object", "int-overflow"],
+        ["0.125", b"0.125", "x", [0.125], object(), 10**400, True, False, np.True_],
+        ids=["str", "bytes", "text", "list", "object", "int-overflow", "true", "false", "numpy-bool"],
     )
     def test_non_reals_are_domain_errors(self, value):
         for name, call, good in self._entry_points() + self.OTHER_REALS:

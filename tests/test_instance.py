@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -399,3 +402,116 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
                 monkeypatch.setattr(maxcsp.instance, "_STACK_BYTES", budget)
                 got = weight_of_batch(inst, bits)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.fixture(scope="module")
+def kernel_paths():
+    """Instances over 12 variables, one per kernel path, with every assignment's ``weight_of``."""
+    rng = np.random.default_rng(31)
+    wide = Constraint(3.0, tuple(range(1, 9)), int.from_bytes(rng.bytes(32), "little"))
+    tables = random_csp(12, 60, 4, seed=7).constraints
+    instances = {
+        # unit-weight clauses in three blocks: the count
+        "counted": random_ekcnf(12, 150, 3, seed=2),
+        # real weights: the float sum
+        "float": random_wcnf(12, 150, 5, 7),
+        # an arity-8 table takes the lookup route, under either sum
+        "lookup": CspInstance(
+            12, (*(Constraint(float(1 + i % 5), c.vars, c.truth_table) for i, c in enumerate(tables)), wide)
+        ),
+        "lookup_float": CspInstance(12, (*tables, wide)),
+    }
+    assert [inst._lane_plan[1] for inst in instances.values()] == [True, False, True, False]
+    space = np.arange(1 << 12)
+    every = (space[:, None] >> np.arange(12)) & 1
+    tables = {
+        name: np.array([weight_of(inst, tuple(int(b) for b in row)) for row in every])
+        for name, inst in instances.items()
+    }
+    return instances, tables
+
+
+def _expected(table, bits):
+    """Each row's ``weight_of``, looked up by the row's packed value."""
+    return table[bits.astype(np.intp) @ (1 << np.arange(bits.shape[1]))]
+
+
+# row counts that grow and shrink the kernel's reused buffers, lane words
+# partial and whole, up to a full sampler chunk
+_ROWS = (0, 65_536, 1, 130, 18_863, 63, 64, 65_536, 65, 0, 18_863, 130)
+
+
+def test_reused_buffers_never_leak_into_a_result(kernel_paths):
+    instances, tables = kernel_paths
+    rng = np.random.default_rng(32)
+    kept = []
+    # one thread interleaves every path, so each call finds buffers that an
+    # other instance, row count or dtype left behind
+    for rows in _ROWS:
+        for name, inst in instances.items():
+            bits = rng.integers(0, 2, size=(rows, 12)).astype(np.uint8)
+            expected = _expected(tables[name], bits)
+            got = weight_of_batch(inst, np.asfortranarray(bits))
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            kept.append((got, expected))
+    # an array returned without out is the caller's: no later call changed it
+    for got, expected in kept:
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_out_receives_the_weights(kernel_paths):
+    instances, tables = kernel_paths
+    rng = np.random.default_rng(33)
+    for rows in (0, 1, 130, 18_863):
+        for name, inst in instances.items():
+            bits = rng.integers(0, 2, size=(rows, 12)).astype(np.uint8)
+            expected = _expected(tables[name], bits)
+            # a slice of a larger array, as the oracle passes its table
+            table = np.full(rows + 2, -1.0)
+            out = table[1:-1]
+            assert weight_of_batch(inst, bits, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+            assert table[0] == table[-1] == -1.0
+    inst = instances["counted"]
+    bits = rng.integers(0, 2, size=(130, 12)).astype(np.uint8)
+    wrong = [np.empty(129), np.empty(131), np.empty((130, 1)), np.empty(130, np.float32), [0.0] * 130]
+    for out in wrong:
+        with pytest.raises(DimensionError, match="out must be"):
+            weight_of_batch(inst, bits, out=out)
+
+
+def test_threads_keep_their_own_buffers(kernel_paths):
+    instances, tables = kernel_paths
+    rng = np.random.default_rng(34)
+    work = {
+        name: [rng.integers(0, 2, size=(rows, 12)).astype(np.uint8) for rows in _ROWS]
+        for name in instances
+    }
+    serial = {
+        name: [weight_of_batch(instances[name], bits).tobytes() for bits in batches]
+        for name, batches in work.items()
+    }
+    # one thread per kernel path, switching often
+    start = threading.Barrier(len(work))
+    results: dict[str, list[bytes]] = {}
+
+    def evaluate(name):
+        start.wait(timeout=60)
+        results[name] = [
+            weight_of_batch(instances[name], bits).tobytes() for _ in range(3) for bits in work[name]
+        ]
+
+    threads = [threading.Thread(target=evaluate, args=(name,)) for name in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {name: serial[name] * 3 for name in work}
+    for name, batches in work.items():
+        assert serial[name] == [_expected(tables[name], bits).tobytes() for bits in batches]

@@ -77,6 +77,19 @@ class TestBruteForce:
             assert np.array_equal(assignment_weights(inst), batch)
 
 
+    def test_table_keeps_no_kernel_arrays(self):
+        # the kernel keeps its working arrays per thread between calls; the
+        # table's few, large chunks give theirs back, about 1 MB here
+        inst = random_wcnf(18, 60, 4, seed=1)
+        tracemalloc.start()
+        try:
+            assert len(assignment_weights(inst)) == 1 << 18
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**16
+
+
 class TestCountNearOptimal:
     def test_full_relaxation_counts_everything(self):
         for seed in range(4):

@@ -105,7 +105,7 @@ class TestBudget:
         with pytest.raises(DomainError, match="w_bar"):
             solve(random_ekcnf(8, 20, 3, seed=2), cfg)
 
-    @pytest.mark.parametrize("value", ["0.5", b"0.5", "x", None, [0.5]])
+    @pytest.mark.parametrize("value", ["0.5", b"0.5", "x", None, [0.5], True])
     def test_config_rejects_non_real_fail_prob(self, value):
         with pytest.raises(DomainError, match="fail_prob must be a real number"):
             SamplerConfig(epsilon=0.2, fail_prob=value)
@@ -129,6 +129,14 @@ class TestBudget:
         # Python and numpy integers pass
         SamplerConfig(epsilon=0.2, **{field: np.int64(3)})
         SamplerConfig(epsilon=0.2, **{field: 3})
+
+    def test_config_holds_plain_floats(self):
+        cfg = SamplerConfig(epsilon=np.float32(0.5), fail_prob=np.float32(0.01), w_bar=np.int64(3))
+        assert cfg == SamplerConfig(epsilon=0.5, fail_prob=float(np.float32(0.01)), w_bar=3.0)
+        assert all(type(v) is float for v in (cfg.epsilon, cfg.fail_prob, cfg.w_bar))
+        for field in ("epsilon", "w_bar"):
+            with pytest.raises(DomainError, match=f"{field} must be a real number"):
+                SamplerConfig(**{"epsilon": 0.5, field: True})
 
     def test_config_and_result_hold_plain_ints(self):
         cfg = SamplerConfig(
@@ -228,9 +236,9 @@ class TestSolve:
     def test_ranges_capped_at_cores(self, serial_pool, monkeypatch):
         calls = []
 
-        def counting(inst, bits):
+        def counting(inst, bits, *args, **kwargs):
             calls.append(len(bits))
-            return weight_of_batch(inst, bits)
+            return weight_of_batch(inst, bits, *args, **kwargs)
 
         def run(workers):
             calls.clear()
@@ -259,9 +267,9 @@ class TestSolve:
             starts.append(start)
             return assignment_bits(seed, start, count, n)
 
-        def evaluating(inst, bits):
+        def evaluating(inst, bits, *args, **kwargs):
             fortran.append(bits.flags.f_contiguous)
-            return weight_of_batch(inst, bits)
+            return weight_of_batch(inst, bits, *args, **kwargs)
 
         def run(workers):
             events = []
@@ -311,9 +319,9 @@ class TestSolve:
         inst = random_ekcnf(16, 60, 3, seed=4)
         sizes = []
 
-        def counting(inst, bits):
+        def counting(inst, bits, *args, **kwargs):
             sizes.append(len(bits))
-            return weight_of_batch(inst, bits)
+            return weight_of_batch(inst, bits, *args, **kwargs)
 
         def run(workers):
             events = []
@@ -337,9 +345,9 @@ class TestSolve:
         inst = random_ekcnf(16, 60, 3, seed=4)
         sizes = []
 
-        def counting(inst, bits):
+        def counting(inst, bits, *args, **kwargs):
             sizes.append(len(bits))
-            return weight_of_batch(inst, bits)
+            return weight_of_batch(inst, bits, *args, **kwargs)
 
         def run(workers):
             sizes.clear()
@@ -380,6 +388,24 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert peak < 1.4 * inst.num_vars * samples
+
+    def test_small_solves_reuse_the_kernel_buffers(self):
+        # the kernel keeps its working arrays per thread, so from the second
+        # call on a small solve only takes its bit matrix and a few small
+        # arrays; allocating them afresh every call peaks at 648 KB here
+        inst = random_ekcnf(12, 40, 3, seed=1)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for seed in range(4):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                res = solve_ksat(inst, 3, epsilon=0.125, fail_prob=1e-2, seed=seed)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        bit_matrix = res.iterations_used * inst.num_vars
+        assert all(peak < 2 * bit_matrix for peak in peaks[1:])
 
     def test_covers_whole_space_matches_oracle(self):
         inst = random_ekcnf(6, 18, 3, seed=14)
