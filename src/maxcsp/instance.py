@@ -15,12 +15,13 @@ Conventions used throughout the package:
   lane words (``rng.pack_lanes``: one word holds one variable of 64 rows),
   turning each truth table into a few word operations by Shannon expansion,
   and returns exactly ``weight_of``'s values: integer weights whose total is
-  at most 2**53 are counted bit-sliced, which is exact in any order, and all
-  other weights are added one constraint at a time in constraint order,
-  which repeats ``weight_of``'s float additions. Both read one loop of
-  stacks of consecutive constraint blocks (``_STACK_BYTES``): the count
-  column-sums each by an adder tree inside it, and the float sum unpacks it
-  in slices of that budget, so numpy calls are few and large at any row count.
+  at most 2**53 (``counted_weights``) are counted bit-sliced, which is exact
+  in any order, and all other weights are added one constraint at a time in
+  constraint order, which repeats ``weight_of``'s float additions. Both
+  read one loop of stacks of consecutive constraint blocks
+  (``_STACK_BYTES``): the count column-sums each by an adder tree inside
+  it, and the float sum unpacks it in slices of that budget, so numpy calls
+  are few and large at any row count.
 * The kernel's working arrays (the stack, the decoded counts, the float
   sum's term) are kept per thread and reused by its next call (``_scratch``),
   so a run of small calls does not make the allocator grow and trim the heap
@@ -194,8 +195,27 @@ class CspInstance:
         return all(c.weight.is_integer() for c in self.constraints)
 
     @cached_property
+    def counted_weights(self) -> bool:
+        """True when the weights are integers of total at most 2**53, which the kernel counts exactly."""
+        return self.integer_weights and sum(int(c.weight) for c in self.constraints) <= 1 << 53
+
+    @cached_property
     def _lane_plan(self):
         return _lane_plan(self)
+
+    @cached_property
+    def _top_split(self) -> tuple["CspInstance", "CspInstance"] | None:
+        """(inner, outer): the constraints over x1..x(n-2), over n-2 variables, and the others, over n.
+
+        None when either side would be empty. Each side keeps the
+        constraint order. The oracle builds its prefix tables from them.
+        """
+        low = self.num_vars - 2
+        inner = tuple(c for c in self.constraints if max(c.vars) <= low)
+        outer = tuple(c for c in self.constraints if max(c.vars) > low)
+        if not inner or not outer:
+            return None
+        return CspInstance(low, inner), CspInstance(self.num_vars, outer)
 
 
 def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> float:
@@ -253,7 +273,7 @@ def weight_of_lanes(
         out = np.empty(rows)
     elif not isinstance(out, np.ndarray) or out.shape != (rows,) or out.dtype != np.float64:
         raise DimensionError(f"out must be a float64 array of shape ({rows},)")
-    blocks, counted = inst._lane_plan
+    blocks, counted = inst._lane_plan, inst.counted_weights
     if not counted:
         out.fill(0.0)
         term = _scratch("term", (rows,), np.float64)
@@ -346,8 +366,8 @@ class _Block(NamedTuple):
     lookups: tuple
 
 
-def _lane_plan(inst: CspInstance) -> tuple[list[_Block], bool]:
-    """Blocks of the satisfiable constraints, and whether the weights are counted exactly."""
+def _lane_plan(inst: CspInstance) -> list[_Block]:
+    """Blocks of the satisfiable constraints, in constraint order."""
     terms = []
     for c in inst.constraints:
         variables = tuple(v - 1 for v in c.vars)
@@ -359,9 +379,7 @@ def _lane_plan(inst: CspInstance) -> tuple[list[_Block], bool]:
             terms.append((c.weight, None, (table, variables)))
         elif found[0] is not False:
             terms.append((c.weight, found[0], None))
-    blocks = [_block(terms[start : start + _BLOCK]) for start in range(0, len(terms), _BLOCK)]
-    counted = inst.integer_weights and sum(int(c.weight) for c in inst.constraints) <= 1 << 53
-    return blocks, counted
+    return [_block(terms[start : start + _BLOCK]) for start in range(0, len(terms), _BLOCK)]
 
 
 def _block(terms) -> _Block:

@@ -3,9 +3,23 @@
 Enumerates all 2^n assignments in chunks through the same vectorized
 kernel the sampler uses (``instance.weight_of_lanes``, behind
 ``weight_of_batch``), so the weight table is bit-identical to the scalar
-``weight_of`` of every assignment, integral weights or not. Nothing is
+``weight_of`` of every assignment, integral weights or not. No table is
 cached: each call enumerates afresh. A chunk's lanes are built in closed
 form by ``rng.enumeration_lanes``, with no bit matrix in between.
+
+Counted weights (``CspInstance.counted_weights``: integers of total at most
+2**53, as in unit MAX-kSAT) build the table from prefix tables. A
+constraint over x1..x(n-2) weighs the same in each quarter of the table, so
+those constraints fill the first quarter, by the same construction, and
+the quarter is copied into the other three; only the constraints touching
+x(n-1) or x(n) are evaluated on all 2^n rows, one chunk at a time into one
+reused chunk buffer, and added. Every partial sum is an integer of at most
+2**53, hence exact in any order, so the table is the one a single pass
+gives. The split stops when a quarter is smaller than a chunk or either
+side has no constraint; the instance keeps its two sides
+(``CspInstance._top_split``), so a repeated table reuses their plans. Real
+weights, and integer totals above 2**53, keep the single pass in
+constraint order, because their float sums depend on it.
 
 On top of the exact weight table this module checks, constant-free, the
 records of ``counting_bound`` itself: for every threshold it evaluates,
@@ -51,15 +65,32 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
         # numpy raises MemoryError when the host refuses the table, and
         # ValueError when its byte size does not fit in an address
         raise SizeError(f"no memory for the 2^{n}-entry weight table: {exc}") from exc
-    for start in range(0, size, _CHUNK):
-        count = min(_CHUNK, size - start)
-        lanes = enumeration_lanes(start, count, n)
-        weight_of_lanes(inst, lanes, count, out=out[start : start + count])
+    _fill_table(inst, out)
     # the table is built from few, large chunks, so keeping their kernel
     # arrays (about 1 MB at 65,536 rows) for the next call would save little
     # and would add to the peak of the work the caller does with the table
     _release_scratch()
     return out
+
+
+def _fill_table(inst: CspInstance, out: np.ndarray) -> None:
+    """Write the weight of every assignment of ``inst`` into ``out``, from prefix tables where counted."""
+    n = inst.num_vars
+    split = inst._top_split if inst.counted_weights and len(out) >= 4 * _CHUNK else None
+    if split is None:
+        for start in range(0, len(out), _CHUNK):
+            count = min(_CHUNK, len(out) - start)
+            lanes = enumeration_lanes(start, count, n)
+            weight_of_lanes(inst, lanes, count, out=out[start : start + count])
+        return
+    inner, outer = split
+    quarters = out.reshape(4, -1)
+    _fill_table(inner, quarters[0])
+    quarters[1:] = quarters[0]
+    term = np.empty(_CHUNK)
+    for start in range(0, len(out), _CHUNK):
+        weight_of_lanes(outer, enumeration_lanes(start, _CHUNK, n), _CHUNK, out=term)
+        out[start : start + _CHUNK] += term
 
 
 def _threshold_tolerance(inst: CspInstance) -> float:
@@ -95,7 +126,7 @@ def count_near_optimal(inst: CspInstance, epsilon: float, cap: int = ORACLE_CAP)
     """Exact number of assignments with weight >= w* - eps*w."""
     epsilon = _check_epsilon(epsilon)
     weights = assignment_weights(inst, cap)
-    return int(_near_optimal(inst, weights, float(weights.max()), epsilon).sum())
+    return int(np.count_nonzero(_near_optimal(inst, weights, float(weights.max()), epsilon)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +169,7 @@ def verify_counting_bound(
     weights = assignment_weights(inst, cap)
     w_star, z0 = _optimum(weights, n)
     near = _near_optimal(inst, weights, w_star, cb.effective_epsilon)
-    d_exact = int(near.sum())
+    d_exact = int(np.count_nonzero(near))
 
     checks = []
     for rec in cb.per_delta:

@@ -389,7 +389,7 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
     ]
     counted = [random_ekcnf(10, 150, 3, seed=2), integral, shapes, threes, never[0]]
     summed = [random_wcnf(12, 150, 5, 7), real_shapes, over, never[1]]
-    assert [inst._lane_plan[1] for inst in counted + summed] == [True] * 5 + [False] * 4
+    assert [inst.counted_weights for inst in counted + summed] == [True] * 5 + [False] * 4
     instances = counted + summed
     for rows in (0, 1, 63, 64, 65, 130):
         # bytes of one block of 64 constraints at this row count
@@ -421,7 +421,7 @@ def kernel_paths():
         ),
         "lookup_float": CspInstance(12, (*tables, wide)),
     }
-    assert [inst._lane_plan[1] for inst in instances.values()] == [True, False, True, False]
+    assert [inst.counted_weights for inst in instances.values()] == [True, False, True, False]
     space = np.arange(1 << 12)
     every = (space[:, None] >> np.arange(12)) & 1
     tables = {

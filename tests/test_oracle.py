@@ -26,7 +26,8 @@ from maxcsp import (
     weight_of_batch,
 )
 import maxcsp.oracle
-from maxcsp.rng import unpack_bits
+from maxcsp.instance import _release_scratch, weight_of_lanes
+from maxcsp.rng import enumeration_lanes, unpack_bits
 
 from helpers import clauses_instance
 
@@ -76,6 +77,93 @@ class TestBruteForce:
             batch = weight_of_batch(inst, unpack_bits(z, 17))
             assert np.array_equal(assignment_weights(inst), batch)
 
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_counted_table_from_prefix_tables(self, n, monkeypatch):
+        # counted weights fill the table from the table of x1..x(n-2) where
+        # both sides have constraints; every table, split or not, must equal
+        # the unsplit kernel on all rows and the scalar reference on a sample
+        ints = (1.0, 2.0, 7.0, 1000.0, 2.0**40)
+        csp = random_csp(n, 4 * n, 4, seed=n)
+        top = [(n - i % 2, 1 + i % (n - 2), 1 + (i + 3) % (n - 2)) for i in range(2 * n)]
+        split = {
+            "unit E3-CNF": random_ekcnf(n, round(4.5 * n), 3, seed=n),
+            "integer weights": CspInstance(
+                n,
+                tuple(Constraint(ints[i % 5], c.vars, c.truth_table) for i, c in enumerate(csp.constraints)),
+            ),
+            "x(n) in no constraint": CspInstance(n, random_ekcnf(n - 1, 4 * n, 3, seed=n).constraints),
+        }
+        whole = {
+            "every constraint touches the top two": clauses_instance(
+                n, [(a if i % 2 else -a, b, -c) for i, (a, b, c) in enumerate(top)]
+            ),
+            "no constraint touches the top two": CspInstance(n, random_ekcnf(n - 2, 4 * n, 3, seed=n).constraints),
+        }
+        evaluated = []
+
+        def counting(inst, lanes, rows, out=None):
+            evaluated.append(inst.num_constraints * rows)
+            return weight_of_lanes(inst, lanes, rows, out)
+
+        monkeypatch.setattr(maxcsp.oracle, "weight_of_lanes", counting)
+        rng = np.random.default_rng(n)
+        for name, inst in {**split, **whole}.items():
+            assert inst.counted_weights, name
+            evaluated.clear()
+            table = assignment_weights(inst)
+            # the split evaluates each constraint only on the rows where it varies
+            assert (sum(evaluated) < inst.num_constraints << n) == (name in split), name
+            for start in range(0, 1 << n, 1 << 18):
+                z = np.arange(start, start + (1 << 18), dtype=np.uint64)[:, None]
+                batch = weight_of_batch(inst, unpack_bits(z, n))
+                assert np.array_equal(table[start : start + (1 << 18)], batch), (name, start)
+            for z in rng.integers(0, 1 << n, 200).tolist():
+                assert table[z] == weight_of(inst, Assignment.from_int(z, n)), (name, z)
+
+    def test_uncounted_weights_are_summed_in_constraint_order(self):
+        # a 2**53 clause first absorbs every later unit on the rows it
+        # satisfies; summing the units apart first would give 2**53 + 2, and
+        # real weights round differently in any other order, so neither may
+        # take the prefix split
+        n = 18
+        low = random_ekcnf(n - 2, 60, 3, seed=4)
+        high = clauses_instance(n, [(n - 1, -n), (1, -(n - 1)), (-2, n)] + [(2 + i, n) for i in range(8)])
+        big = CspInstance(
+            n,
+            (
+                Constraint(2.0**53, high.constraints[0].vars, high.constraints[0].truth_table),
+                *low.constraints,
+                *high.constraints[1:],
+            ),
+        )
+        for inst in (big, random_wcnf(n, 77, 3, seed=5)):
+            assert not inst.counted_weights
+            z = np.arange(1 << n, dtype=np.uint64)[:, None]
+            assert np.array_equal(assignment_weights(inst), weight_of_batch(inst, unpack_bits(z, n)))
+
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_counted_table_memory(self, n):
+        # beyond the table and the kernel's own arrays for one chunk of the
+        # instance, the prefix split holds one chunk of added weights; two
+        # chunks is the bound. An inner table apart from the table would
+        # take 2^(n-2) * 8 bytes more (2 MiB at n=20)
+        chunk = maxcsp.oracle._CHUNK
+        term = np.empty(chunk)
+        for inst in (random_ekcnf(n, round(4.5 * n), 3, seed=n), random_ekcnf(n, 15 * n, 3, seed=n)):
+            peaks = []
+            for build in (
+                lambda: weight_of_lanes(inst, enumeration_lanes(0, chunk, n), chunk, out=term),
+                lambda: assignment_weights(inst),
+            ):
+                _release_scratch()
+                tracemalloc.start()
+                try:
+                    build()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            kernel, table = peaks
+            assert table <= 8 * (1 << n) + kernel + 2 * 8 * chunk, (inst.num_constraints, kernel, table)
 
     def test_table_keeps_no_kernel_arrays(self):
         # the kernel keeps its working arrays per thread between calls; the

@@ -12,6 +12,7 @@ from maxcsp import (
     SamplerConfig,
     UnsupportedError,
     brute_force_optimum,
+    count_near_optimal,
     counting_bound,
     iteration_budget,
     random_ekcnf,
@@ -476,3 +477,28 @@ class TestSolveKsat:
             for s in range(100)
         )
         assert failures / 100 <= 1e-2 + 3 * math.sqrt(1e-2 * 0.99 / 100)
+
+
+class TestExactRateAudit:
+    # The oracle's d_exact gives the exact chance q = (1 - d_exact/2^n)^T that
+    # T uniform samples all miss the near-optimal set. Over many seeds the
+    # number of missing runs is Binomial(runs, q), so a sampler whose hit rate
+    # is off by a tenth moves z by about 2 at q = 0.2, while the guarantee's
+    # bound slack hides any factor below about 2^10. |z| <= 4 was fixed
+    # before the first run.
+    @pytest.mark.parametrize("seed, eps, q_target", [(0, 0.01, 0.2), (2, 0.02, 0.1)])
+    def test_miss_count_matches_the_exact_rate(self, seed, eps, q_target):
+        inst = random_ekcnf(16, 68, 3, seed=seed)
+        w_star, _ = brute_force_optimum(inst)
+        hit = count_near_optimal(inst, eps) / 2**inst.num_vars
+        budget = math.ceil(math.log(q_target) / math.log1p(-hit))
+        q = math.exp(budget * math.log1p(-hit))
+        assert 0.05 <= q <= 0.2
+        runs, misses = 2000, 0
+        for s in range(runs):
+            res = solve(inst, SamplerConfig(epsilon=eps, seed=s, max_iterations=budget))
+            assert res.iterations_used == budget and res.clamped
+            # unit weights: the threshold is exact, as the oracle counts it
+            misses += res.best_weight < w_star - eps * inst.total_weight
+        z = (misses - runs * q) / math.sqrt(runs * q * (1 - q))
+        assert abs(z) <= 4, (misses, runs * q, z)
