@@ -266,29 +266,41 @@ def weight_of_lanes(
 
     Lane word (v, b) holds variable v of items 64b..64b+63, item 64b+i at
     bit i (``rng``: ``assignment_bits`` draws them, ``pack_lanes`` packs a
-    matrix into them); the values and ``out`` are ``weight_of_batch``'s. Both
-    sums read one loop over ``_stacks``; the count is decoded once at the end.
+    matrix into them); the values and ``out`` are ``weight_of_batch``'s.
+    Counted weights are ``_lane_counts``, cast; the float sum reads the same
+    loop over ``_stacks``.
     """
     if out is None:
         out = np.empty(rows)
     elif not isinstance(out, np.ndarray) or out.shape != (rows,) or out.dtype != np.float64:
         raise DimensionError(f"out must be a float64 array of shape ({rows},)")
-    blocks, counted = inst._lane_plan, inst.counted_weights
-    if not counted:
-        out.fill(0.0)
-        term = _scratch("term", (rows,), np.float64)
+    if inst.counted_weights:
+        out[...] = _lane_counts(inst, lanes, rows)
+        return out
+    out.fill(0.0)
+    term = _scratch("term", (rows,), np.float64)
+    step = max(1, _STACK_BYTES // max(rows, 1))
+    for weights, stack in _stacks(inst._lane_plan, lanes):
+        for k in range(0, len(stack), step):
+            satisfied = unpack_bits(stack[k : k + step], rows)
+            for weight, bits in zip(weights[k : k + step], satisfied):
+                out += np.multiply(bits, weight, out=term)
+    return out
+
+
+def _lane_counts(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
+    """Exact integer weights of the first ``rows`` items of lane words, for counted weights.
+
+    The result is this thread's ``counts`` scratch array (``_scratch``), in
+    the smallest unsigned dtype that holds the weight of the satisfiable
+    constraints, so it must be used or copied before the thread's next
+    kernel call. The count is decoded once, after the last stack.
+    """
     # bit planes of each row's count, least significant first, and the
     # weight of the constraints counted so far, which bounds every row's count
     total: list[np.ndarray] = []
     seen = 0
-    for weights, stack in _stacks(blocks, lanes):
-        if not counted:
-            step = max(1, _STACK_BYTES // max(rows, 1))
-            for k in range(0, len(stack), step):
-                satisfied = unpack_bits(stack[k : k + step], rows)
-                for weight, bits in zip(weights[k : k + step], satisfied):
-                    out += np.multiply(bits, weight, out=term)
-            continue
+    for weights, stack in _stacks(inst._lane_plan, lanes):
         weights = weights.astype(np.int64)
         present = int(np.bitwise_or.reduce(weights))
         for k in range(present.bit_length()):
@@ -303,9 +315,7 @@ def weight_of_lanes(
             total = total[:k] + _add(total[k:], stack_sum)
         seen += int(weights.sum())
         total = total[: seen.bit_length()]
-    if counted:
-        out[...] = _values(total, rows, _scratch("counts", (rows,), np.min_scalar_type(seen)))
-    return out
+    return _values(total, rows, _scratch("counts", (rows,), np.min_scalar_type(seen)))
 
 
 # satisfiable constraints per block of the plan, grouped by expression shape

@@ -8,18 +8,25 @@ cached: each call enumerates afresh. A chunk's lanes are built in closed
 form by ``rng.enumeration_lanes``, with no bit matrix in between.
 
 Counted weights (``CspInstance.counted_weights``: integers of total at most
-2**53, as in unit MAX-kSAT) build the table from prefix tables. A
-constraint over x1..x(n-2) weighs the same in each quarter of the table, so
-those constraints fill the first quarter, by the same construction, and
-the quarter is copied into the other three; only the constraints touching
-x(n-1) or x(n) are evaluated on all 2^n rows, one chunk at a time into one
-reused chunk buffer, and added. Every partial sum is an integer of at most
-2**53, hence exact in any order, so the table is the one a single pass
-gives. The split stops when a quarter is smaller than a chunk or either
-side has no constraint; the instance keeps its two sides
-(``CspInstance._top_split``), so a repeated table reuses their plans. Real
-weights, and integer totals above 2**53, keep the single pass in
-constraint order, because their float sums depend on it.
+2**53, as in unit MAX-kSAT) stay exact integers end to end. Their table
+has the smallest unsigned dtype that holds the total weight (uint8 for
+unit clauses with m <= 255, an eighth of a float64 table), filled with the
+kernel's integer counts (``instance._lane_counts``) without a float in
+between, and the optimum and the near-optimal threshold are compared in
+that dtype. An integer table wraps around on overflow, so cast it before
+arithmetic that could leave its range. The table is built from prefix
+tables. A constraint over x1..x(n-2) weighs the same in each quarter of
+the table, so those constraints fill the first quarter, by the same
+construction, and the quarter is copied into the other three; only the
+constraints touching x(n-1) or x(n) are evaluated on all 2^n rows, one
+chunk at a time, and their counts added in place. Every partial sum is an
+integer of at most the total, hence exact in any order and within the
+dtype, so the table is the one a single pass gives. The split stops when a
+quarter is smaller than a chunk or either side has no constraint; the
+instance keeps its two sides (``CspInstance._top_split``), so a repeated
+table reuses their plans. Real weights, and integer totals above 2**53,
+keep a float64 table and the single pass in constraint order, because
+their float sums depend on it.
 
 On top of the exact weight table this module checks, constant-free, the
 records of ``counting_bound`` itself: for every threshold it evaluates,
@@ -45,7 +52,7 @@ from .bounds import (
     entropy_scaling_gap,
 )
 from .errors import DomainError, SizeError, _integer
-from .instance import Assignment, CspInstance, _release_scratch, weight_of_lanes
+from .instance import Assignment, CspInstance, _lane_counts, _release_scratch, weight_of_lanes
 from .rng import enumeration_lanes
 
 ORACLE_CAP = 24
@@ -54,13 +61,21 @@ _CHUNK = 1 << 16
 
 
 def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
-    """Weight of every assignment, indexed by the packed bit value."""
+    """Weight of every assignment, indexed by the packed bit value.
+
+    Counted weights (``CspInstance.counted_weights``) give exact integers in
+    the smallest unsigned dtype that holds the total weight: uint8 for unit
+    clauses with m <= 255. Any other weights give float64. Either way every
+    entry equals ``weight_of`` of its assignment. An integer table wraps
+    around on overflow, so cast it (``astype``) before arithmetic that could
+    leave its range, such as a difference.
+    """
     n = inst.num_vars
     if n > _integer("cap", cap):
         raise SizeError(f"{n} variables exceed the enumeration cap {cap}")
-    size = 1 << n
+    dtype = np.min_scalar_type(int(inst.total_weight)) if inst.counted_weights else np.float64
     try:
-        out = np.empty(size, dtype=np.float64)
+        out = np.empty(1 << n, dtype=dtype)
     except (MemoryError, ValueError) as exc:
         # numpy raises MemoryError when the host refuses the table, and
         # ValueError when its byte size does not fit in an address
@@ -74,23 +89,30 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
 
 
 def _fill_table(inst: CspInstance, out: np.ndarray) -> None:
-    """Write the weight of every assignment of ``inst`` into ``out``, from prefix tables where counted."""
+    """Write the weight of every assignment of ``inst`` into ``out``, from prefix tables where counted.
+
+    Counted weights write the kernel's integer counts into the table as they
+    are; every partial sum is at most the total weight, so none overflows
+    the table's dtype.
+    """
     n = inst.num_vars
-    split = inst._top_split if inst.counted_weights and len(out) >= 4 * _CHUNK else None
+    counted = inst.counted_weights
+    split = inst._top_split if counted and len(out) >= 4 * _CHUNK else None
     if split is None:
         for start in range(0, len(out), _CHUNK):
-            count = min(_CHUNK, len(out) - start)
-            lanes = enumeration_lanes(start, count, n)
-            weight_of_lanes(inst, lanes, count, out=out[start : start + count])
+            chunk = out[start : start + _CHUNK]
+            lanes = enumeration_lanes(start, len(chunk), n)
+            if counted:
+                chunk[...] = _lane_counts(inst, lanes, len(chunk))
+            else:
+                weight_of_lanes(inst, lanes, len(chunk), out=chunk)
         return
     inner, outer = split
     quarters = out.reshape(4, -1)
     _fill_table(inner, quarters[0])
     quarters[1:] = quarters[0]
-    term = np.empty(_CHUNK)
     for start in range(0, len(out), _CHUNK):
-        weight_of_lanes(outer, enumeration_lanes(start, _CHUNK, n), _CHUNK, out=term)
-        out[start : start + _CHUNK] += term
+        out[start : start + _CHUNK] += _lane_counts(outer, enumeration_lanes(start, _CHUNK, n), _CHUNK)
 
 
 def _threshold_tolerance(inst: CspInstance) -> float:
@@ -103,17 +125,22 @@ def _threshold_tolerance(inst: CspInstance) -> float:
 
 def _near_optimal(inst: CspInstance, weights: np.ndarray, w_star: float, epsilon: float) -> np.ndarray:
     """Which assignments weigh at least w* - epsilon*w, less the rounding tolerance."""
-    return weights >= w_star - epsilon * inst.total_weight - _threshold_tolerance(inst)
+    threshold = w_star - epsilon * inst.total_weight - _threshold_tolerance(inst)
+    if weights.dtype.kind == "u":
+        # an integer weighs at least t exactly when it weighs at least ceil(t),
+        # which lies in 0..w*, so the comparison stays in the table's dtype
+        threshold = max(0, math.ceil(threshold))
+    return weights >= threshold
 
 
 def _optimum(weights: np.ndarray, n: int) -> tuple[float, int]:
     """Maximum of a weight table and the packed index of its lexicographically smallest maximizer."""
-    w_star = float(weights.max())
-    candidates = np.flatnonzero(weights == w_star).astype(np.int64)
+    top = weights.max()
+    candidates = np.flatnonzero(weights == top).astype(np.int64)
     big_endian = np.zeros(len(candidates), dtype=np.int64)
     for f in range(n):
         big_endian |= ((candidates >> f) & 1) << (n - 1 - f)
-    return w_star, int(candidates[int(np.argmin(big_endian))])
+    return float(top), int(candidates[int(np.argmin(big_endian))])
 
 
 def brute_force_optimum(inst: CspInstance, cap: int = ORACLE_CAP) -> tuple[float, Assignment]:

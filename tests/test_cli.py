@@ -336,6 +336,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", tiny_cnf, "--eps", "1")
         assert code == 0
 
+    def test_pins_optimum_and_exact_count(self, tmp_path, capsys):
+        # a unit 3-CNF at n=20 takes the oracle's integer prefix table; the
+        # report prints plain Python numbers, never a numpy scalar's repr
+        from maxcsp import brute_force_optimum, parse_cnf
+
+        code, text, _ = run_cli(capsys, "gen", "--n", "20", "--m", "90", "--k", "3", "--seed", "20")
+        p = tmp_path / "e3.cnf"
+        p.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", str(p), "--eps", "0.05")
+        assert code == 0
+        assert out.splitlines()[4:6] == ["w_star=89.0", "d_exact=23696"]
+        w_star, _ = brute_force_optimum(parse_cnf(text)[0])
+        assert type(w_star) is float and w_star == 89.0
+
     def test_complementary_units(self, tmp_path, capsys):
         p = tmp_path / "two.cnf"
         p.write_text("p cnf 1 2\n1 0\n-1 0\n", encoding="utf-8")

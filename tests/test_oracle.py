@@ -26,7 +26,7 @@ from maxcsp import (
     weight_of_batch,
 )
 import maxcsp.oracle
-from maxcsp.instance import _release_scratch, weight_of_lanes
+from maxcsp.instance import _lane_counts, _release_scratch, weight_of_lanes
 from maxcsp.rng import enumeration_lanes, unpack_bits
 
 from helpers import clauses_instance
@@ -69,6 +69,28 @@ class TestBruteForce:
             )
             assert np.array_equal(table, naive), (n, i, inst.integer_weights)
 
+    @pytest.mark.parametrize(
+        "first, dtype",
+        [
+            (252.0, np.uint8),  # counted total 255
+            (253.0, np.uint16),  # 256
+            (2.0**16 - 4, np.uint16),  # 65,535
+            (2.0**16 - 3, np.uint32),  # 65,536
+            (2.0**53 - 3, np.uint64),  # 2**53, the largest counted total
+            (2.0**53 - 2, np.float64),  # an integer total of 2**53 + 1
+            (0.5, np.float64),  # real weights
+        ],
+    )
+    def test_table_dtype(self, first, dtype):
+        # counted tables take the smallest unsigned dtype holding the total
+        # weight, and any other table float64; either way every row is weight_of
+        base = random_ekcnf(7, 4, 3, seed=8)
+        weights = (first, 1.0, 1.0, 1.0)
+        inst = CspInstance(7, tuple(Constraint(w, c.vars, c.truth_table) for w, c in zip(weights, base.constraints)))
+        table = assignment_weights(inst)
+        assert table.dtype == dtype
+        assert table.tolist() == [weight_of(inst, Assignment.from_int(z, 7)) for z in range(1 << 7)]
+
     def test_table_across_chunks_matches_weight_of_batch(self):
         # 2^17 assignments take two enumeration chunks
         for builder in (random_ekcnf, random_wcnf):
@@ -101,16 +123,17 @@ class TestBruteForce:
         }
         evaluated = []
 
-        def counting(inst, lanes, rows, out=None):
+        def counting(inst, lanes, rows):
             evaluated.append(inst.num_constraints * rows)
-            return weight_of_lanes(inst, lanes, rows, out)
+            return _lane_counts(inst, lanes, rows)
 
-        monkeypatch.setattr(maxcsp.oracle, "weight_of_lanes", counting)
+        monkeypatch.setattr(maxcsp.oracle, "_lane_counts", counting)
         rng = np.random.default_rng(n)
         for name, inst in {**split, **whole}.items():
             assert inst.counted_weights, name
             evaluated.clear()
             table = assignment_weights(inst)
+            assert table.dtype == np.min_scalar_type(int(inst.total_weight)), name
             # the split evaluates each constraint only on the rows where it varies
             assert (sum(evaluated) < inst.num_constraints << n) == (name in split), name
             for start in range(0, 1 << n, 1 << 18):
@@ -164,6 +187,29 @@ class TestBruteForce:
                     tracemalloc.stop()
             kernel, table = peaks
             assert table <= 8 * (1 << n) + kernel + 2 * 8 * chunk, (inst.num_constraints, kernel, table)
+
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_counted_table_memory_in_its_dtype(self, n):
+        # a counted table holds itemsize bytes per row (one for unit 3-CNF
+        # with m <= 255, two beyond), and its build adds at most the kernel's
+        # own peak for one chunk and two chunks of 8-byte values
+        chunk = maxcsp.oracle._CHUNK
+        for inst in (random_ekcnf(n, round(4.5 * n), 3, seed=n), random_ekcnf(n, 15 * n, 3, seed=n)):
+            itemsize = np.min_scalar_type(int(inst.total_weight)).itemsize
+            peaks = []
+            for build in (
+                lambda: _lane_counts(inst, enumeration_lanes(0, chunk, n), chunk),
+                lambda: assignment_weights(inst),
+            ):
+                _release_scratch()
+                tracemalloc.start()
+                try:
+                    build()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            kernel, table = peaks
+            assert table <= itemsize * (1 << n) + kernel + 2 * 8 * chunk, (inst.num_constraints, kernel, table)
 
     def test_table_keeps_no_kernel_arrays(self):
         # the kernel keeps its working arrays per thread between calls; the
@@ -249,6 +295,47 @@ class TestVerifyCountingBound:
                     assert (check.s_size, check.r) == (rec.s_size, rec.r)
                     assert check.sigma_count == binomial_sum(rec.s_size, rec.r)
                     assert math.log2(check.sigma_count) == rec.log2_count
+
+    def test_integer_threshold_matches_float_comparison(self):
+        # an integer table is compared against max(0, ceil(w* - eps_eff*w));
+        # d_exact, the member checks and count_near_optimal must equal the
+        # float64 comparison, with the threshold on an integer, one or two
+        # float steps off it either way, and at or below 0 (eps = 1).
+        # Flipping x1 or x2 of the units loses exactly 2 = eps*w at eps = 0.5
+        units = clauses_instance(10, [(1,), (1,), (2,), (2,)])
+        wide = random_ekcnf(10, 16, 2, seed=3)
+        seen = set()
+        for inst in (units, wide):
+            n, w = inst.num_vars, inst.total_weight
+            table = assignment_weights(inst)
+            assert table.dtype == np.uint8
+            weights = table.astype(np.float64)
+            z0 = brute_force_optimum(inst)[1].to_int()
+            for base, w_bar in itertools.product((0.25, 0.5, 1.0), (None, w / 2)):
+                down = np.nextafter(base, 0)
+                for eps in {base, down, np.nextafter(down, 0), min(1.0, np.nextafter(base, 2))}:
+                    eps = float(eps)
+                    report = verify_counting_bound(inst, eps, w_bar)
+                    theta = report.w_star - report.effective_epsilon * w
+                    near = weights >= theta
+                    assert report.d_exact == np.count_nonzero(near), (eps, w_bar)
+                    if w_bar is None:
+                        assert count_near_optimal(inst, eps) == report.d_exact
+                    cb = counting_bound(inst, eps, w_bar)
+                    for check, rec in zip(report.per_delta_checks, cb.per_delta):
+                        masks = [1 << f for f in range(n) if inst.contributions[f] <= rec.threshold]
+                        members = [z0 ^ sum(c) for size in range(rec.r + 1) for c in itertools.combinations(masks, size)]
+                        assert check.members_ok == (len(masks) == rec.s_size and bool(near[members].all()))
+                        if np.any(weights[members] == theta):
+                            seen.add("member on the threshold")
+                    k = round(theta)
+                    if theta <= 0:
+                        seen.add("at or below 0")
+                    elif np.any(weights == k) and 0 < abs(theta - k) < 1e-12:
+                        seen.add("just above" if theta > k else "just below")
+                    elif np.any(weights == theta):
+                        seen.add("on")
+        assert seen == {"on", "just above", "just below", "at or below 0", "member on the threshold"}
 
     def test_inflated_s_size_fails(self, monkeypatch):
         # at eps = 1 every assignment counts (d_exact = 2^n), so the count
