@@ -204,18 +204,56 @@ class CspInstance:
         return _lane_plan(self)
 
     @cached_property
-    def _top_split(self) -> tuple["CspInstance", "CspInstance"] | None:
-        """(inner, outer): the constraints over x1..x(n-2), over n-2 variables, and the others, over n.
+    def _cofactors(self) -> tuple["CspInstance | None", tuple[tuple["CspInstance | None", int], ...]]:
+        """(inner, quarters): this instance split on its top two variables x(n-1) and x(n).
 
-        None when either side would be empty. Each side keeps the
-        constraint order. The oracle builds its prefix tables from them.
+        ``inner`` holds the constraints over x1..x(n-2), as an instance over
+        n-2 variables, or None if there are none. Quarter q, where x(n-1) =
+        q & 1 and x(n) = q >> 1, is (instance or None, constant): the other
+        constraints with those two variables fixed (``_restrict``), over
+        n-2 variables, and the integer weight of those the fixing satisfies
+        outright; those it falsifies are dropped. Each part keeps the
+        constraint order. For counted weights only: the oracle builds its
+        tables from them.
         """
         low = self.num_vars - 2
         inner = tuple(c for c in self.constraints if max(c.vars) <= low)
-        outer = tuple(c for c in self.constraints if max(c.vars) > low)
-        if not inner or not outer:
-            return None
-        return CspInstance(low, inner), CspInstance(self.num_vars, outer)
+        outer = [c for c in self.constraints if max(c.vars) > low]
+        quarters = []
+        for q in range(4):
+            kept, constant = [], 0
+            for c in outer:
+                rest = _restrict(c, {low + 1: q & 1, low + 2: q >> 1})
+                if rest is True:
+                    constant += int(c.weight)
+                elif rest is not False:
+                    kept.append(rest)
+            quarters.append((CspInstance(low, kept) if kept else None, constant))
+        return (CspInstance(low, inner) if inner else None), tuple(quarters)
+
+
+def _restrict(c: Constraint, fixed: Mapping[int, int]) -> Constraint | bool:
+    """``c`` with the variables of ``fixed`` set to their values, or True/False if that decides it.
+
+    The truth table is unpacked into an array of shape (2,)*arity, whose
+    axis k belongs to ``vars[arity-1-k]``; the fixed axes are indexed away
+    and the rest packed again, over the remaining variables in their order.
+    """
+    table = _table_bits(c).reshape((2,) * c.arity)
+    rest = table[tuple(fixed.get(v, slice(None)) for v in reversed(c.vars))]
+    rest_table = int.from_bytes(np.packbits(rest, axis=None, bitorder="little").tobytes(), "little")
+    if rest_table == (1 << rest.size) - 1:
+        return True
+    if rest_table == 0:
+        return False
+    return Constraint(c.weight, tuple(v for v in c.vars if v not in fixed), rest_table)
+
+
+def _table_bits(c: Constraint) -> np.ndarray:
+    """The truth table of ``c`` as 2^arity uint8 0/1 values, row t at index t."""
+    size = 1 << c.arity
+    packed = np.frombuffer(c.truth_table.to_bytes((size + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little")
 
 
 def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> float:
@@ -383,10 +421,7 @@ def _lane_plan(inst: CspInstance) -> list[_Block]:
         variables = tuple(v - 1 for v in c.vars)
         found = _shannon(c.truth_table, variables, _OPS_PER_VAR * c.arity)
         if found is None:
-            size = 1 << c.arity
-            packed = np.frombuffer(c.truth_table.to_bytes((size + 7) // 8, "little"), np.uint8)
-            table = np.unpackbits(packed, count=size, bitorder="little").view(bool)
-            terms.append((c.weight, None, (table, variables)))
+            terms.append((c.weight, None, (_table_bits(c).view(bool), variables)))
         elif found[0] is not False:
             terms.append((c.weight, found[0], None))
     return [_block(terms[start : start + _BLOCK]) for start in range(0, len(terms), _BLOCK)]

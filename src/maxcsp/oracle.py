@@ -14,19 +14,21 @@ unit clauses with m <= 255, an eighth of a float64 table), filled with the
 kernel's integer counts (``instance._lane_counts``) without a float in
 between, and the optimum and the near-optimal threshold are compared in
 that dtype. An integer table wraps around on overflow, so cast it before
-arithmetic that could leave its range. The table is built from prefix
-tables. A constraint over x1..x(n-2) weighs the same in each quarter of
-the table, so those constraints fill the first quarter, by the same
-construction, and the quarter is copied into the other three; only the
-constraints touching x(n-1) or x(n) are evaluated on all 2^n rows, one
-chunk at a time, and their counts added in place. Every partial sum is an
-integer of at most the total, hence exact in any order and within the
-dtype, so the table is the one a single pass gives. The split stops when a
-quarter is smaller than a chunk or either side has no constraint; the
-instance keeps its two sides (``CspInstance._top_split``), so a repeated
-table reuses their plans. Real weights, and integer totals above 2**53,
-keep a float64 table and the single pass in constraint order, because
-their float sums depend on it.
+arithmetic that could leave its range. The table is built from cofactors
+(``CspInstance._cofactors``). The constraints over x1..x(n-2) weigh the
+same in each quarter of the table, so their table, built the same way, is
+copied into all four. In each quarter x(n-1) and x(n) are fixed, so every
+other constraint there is a smaller constraint over x1..x(n-2), which
+that quarter's table adds by the same construction, or a constant weight,
+or nothing. Each constraint is thus evaluated only on the rows where the
+top variables leave it open: about 11% of m*2^n constraint-rows for unit
+E3-CNF at n=20. The split recurses while a quarter holds at least a chunk.
+Every partial sum is the integer weight of a subset of the constraints,
+exact in any order and within the dtype, so the table is the one a single
+pass gives. The instance keeps its cofactors, and they keep their own, so
+a repeated table reuses their plans. Real weights, and integer totals
+above 2**53, keep a float64 table and the single pass in constraint order,
+because their float sums depend on it.
 
 On top of the exact weight table this module checks, constant-free, the
 records of ``counting_bound`` itself: for every threshold it evaluates,
@@ -88,31 +90,46 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
     return out
 
 
-def _fill_table(inst: CspInstance, out: np.ndarray) -> None:
-    """Write the weight of every assignment of ``inst`` into ``out``, from prefix tables where counted.
+def _fill_table(inst: CspInstance, out: np.ndarray, add: bool = False) -> None:
+    """Write, or with ``add`` add, the weight of every assignment of ``inst`` into ``out``.
 
-    Counted weights write the kernel's integer counts into the table as they
-    are; every partial sum is at most the total weight, so none overflows
-    the table's dtype.
+    Counted weights are built from cofactors (``CspInstance._cofactors``)
+    while a quarter of the table holds at least a chunk: the inner
+    constraints' table goes into every quarter, and each quarter adds its
+    constant and its fixed constraints' table. Every partial sum is the
+    weight of a subset of the constraints, at most the total weight, so
+    none overflows the table's dtype.
     """
     n = inst.num_vars
     counted = inst.counted_weights
-    split = inst._top_split if counted and len(out) >= 4 * _CHUNK else None
-    if split is None:
+    if not counted or len(out) < 4 * _CHUNK:
         for start in range(0, len(out), _CHUNK):
             chunk = out[start : start + _CHUNK]
             lanes = enumeration_lanes(start, len(chunk), n)
-            if counted:
-                chunk[...] = _lane_counts(inst, lanes, len(chunk))
-            else:
+            if not counted:
                 weight_of_lanes(inst, lanes, len(chunk), out=chunk)
+            elif add:
+                chunk += _lane_counts(inst, lanes, len(chunk))
+            else:
+                chunk[...] = _lane_counts(inst, lanes, len(chunk))
         return
-    inner, outer = split
+    inner, cofactors = inst._cofactors
     quarters = out.reshape(4, -1)
-    _fill_table(inner, quarters[0])
-    quarters[1:] = quarters[0]
-    for start in range(0, len(out), _CHUNK):
-        out[start : start + _CHUNK] += _lane_counts(outer, enumeration_lanes(start, _CHUNK, n), _CHUNK)
+    if not add:
+        if inner is None:
+            quarters[0] = 0
+        else:
+            _fill_table(inner, quarters[0])
+        quarters[1:] = quarters[0]
+    elif inner is not None:
+        part = np.empty_like(quarters[0])
+        _fill_table(inner, part)
+        quarters += part
+    for quarter, (fixed, constant) in zip(quarters, cofactors):
+        if constant:
+            quarter += constant
+        if fixed is not None:
+            _fill_table(fixed, quarter, add=True)
 
 
 def _threshold_tolerance(inst: CspInstance) -> float:
@@ -136,11 +153,15 @@ def _near_optimal(inst: CspInstance, weights: np.ndarray, w_star: float, epsilon
 def _optimum(weights: np.ndarray, n: int) -> tuple[float, int]:
     """Maximum of a weight table and the packed index of its lexicographically smallest maximizer."""
     top = weights.max()
-    candidates = np.flatnonzero(weights == top).astype(np.int64)
-    big_endian = np.zeros(len(candidates), dtype=np.int64)
+    candidates = np.flatnonzero(weights == top)
+    # x1 is bit 0: from x1 upward, keep the maximizers with the bit clear if any has it
     for f in range(n):
-        big_endian |= ((candidates >> f) & 1) << (n - 1 - f)
-    return float(top), int(candidates[int(np.argmin(big_endian))])
+        if len(candidates) == 1:
+            break
+        clear = candidates[(candidates >> f) & 1 == 0]
+        if len(clear):
+            candidates = clear
+    return float(top), int(candidates[0])
 
 
 def brute_force_optimum(inst: CspInstance, cap: int = ORACLE_CAP) -> tuple[float, Assignment]:

@@ -337,7 +337,7 @@ class TestVerify:
         assert code == 0
 
     def test_pins_optimum_and_exact_count(self, tmp_path, capsys):
-        # a unit 3-CNF at n=20 takes the oracle's integer prefix table; the
+        # a unit 3-CNF at n=20 takes the oracle's integer cofactor table; the
         # report prints plain Python numbers, never a numpy scalar's repr
         from maxcsp import brute_force_optimum, parse_cnf
 

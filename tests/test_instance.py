@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 
@@ -25,6 +26,7 @@ from maxcsp import (
     weight_of,
     weight_of_batch,
 )
+from maxcsp.instance import _restrict
 
 from helpers import clauses_instance
 
@@ -515,3 +517,84 @@ def test_threads_keep_their_own_buffers(kernel_paths):
     assert results == {name: serial[name] * 3 for name in work}
     for name, batches in work.items():
         assert serial[name] == [_expected(tables[name], bits).tobytes() for bits in batches]
+
+
+def _check_restrict(c, fixed):
+    """``_restrict(c, fixed)`` against ``c.evaluate`` on every row of the result."""
+    got = _restrict(c, fixed)
+    rest = tuple(v for v in c.vars if v not in fixed)
+    bits = [0] * max(c.vars)
+    for v, b in fixed.items():
+        bits[v - 1] = b
+    expected, values = [], []
+    for t in range(1 << len(rest)):
+        for j, v in enumerate(rest):
+            bits[v - 1] = (t >> j) & 1
+        expected.append(c.evaluate(bits))
+        values.append(got if type(got) is bool else got.evaluate(bits))
+    assert values == expected
+    # a constant result is True or False, never a constraint
+    assert (type(got) is bool) == (all(expected) or not any(expected))
+    if type(got) is not bool:
+        assert (got.weight, got.vars) == (c.weight, rest)
+    return got
+
+
+class TestRestrict:
+    def test_clauses(self):
+        n = 10
+        for lits in [(3, -9, 10), (-10, 2, 9), (9, -4, -10), (1, 10, 5, -9)]:
+            c = clause_from_literals(lits, 2.0)
+            for value in (0, 1):
+                for v in (n - 1, n):
+                    got = _check_restrict(c, {v: value})
+                    # a fixed literal that holds satisfies the clause outright
+                    assert (got is True) == ((v if value else -v) in lits)
+            for q in range(4):
+                _check_restrict(c, {n - 1: q & 1, n: q >> 1})
+
+    def test_random_tables(self):
+        # fixed variables first, in the middle and last in vars, by arity 1-8
+        # and one of arity 12
+        rng = random.Random(7)
+        n = 14
+        for arity in [*range(1, 9), 12]:
+            for trial in range(12):
+                others = rng.sample(range(1, n - 1), arity)
+                top = [n - 1, n][: min(2, arity)] if trial % 3 == 0 else [rng.choice((n - 1, n))]
+                variables = others[: arity - len(top)]
+                at = (0, (arity - len(top)) // 2, arity - len(top))[trial % 3]
+                variables[at:at] = top
+                c = Constraint(1.0 + trial, variables, rng.getrandbits(1 << arity))
+                for v in (n - 1, n):
+                    if v in variables:
+                        _check_restrict(c, {v: trial & 1})
+                if n - 1 in variables and n in variables:
+                    for q in range(4):
+                        _check_restrict(c, {n - 1: q & 1, n: q >> 1})
+
+    @pytest.mark.parametrize("table", range(16))
+    def test_over_the_two_fixed_variables(self, table):
+        # fixing both variables leaves a constant: the quarter's instance
+        # drops it and the quarter's constant counts it when it holds
+        c = Constraint(3.0, (6, 5), table)
+        low = clause_from_literals((1, -2))
+        inner, quarters = CspInstance(6, (low, c))._cofactors
+        assert inner.constraints == (low,)
+        for q, (fixed, constant) in enumerate(quarters):
+            holds = _check_restrict(c, {5: q & 1, 6: q >> 1})
+            # quarter q sets x5 to q & 1 and x6 to q >> 1: row x6 + 2*x5 of the table over (x6, x5)
+            assert holds == bool(table >> (2 * (q & 1) + (q >> 1)) & 1)
+            assert (fixed, constant) == (None, 3 if holds else 0)
+
+
+def test_cofactors_rebuild_every_weight():
+    # every assignment weighs its inner part, plus its quarter's constant and fixed part
+    base = random_csp(9, 40, 4, seed=5)
+    inst = CspInstance(9, tuple(Constraint(1.0 + i % 4, c.vars, c.truth_table) for i, c in enumerate(base.constraints)))
+    inner, quarters = inst._cofactors
+    assert inner is not None and all(fixed is not None for fixed, _ in quarters)
+    for z in range(1 << 9):
+        low = Assignment.from_int(z & 127, 7)
+        fixed, constant = quarters[z >> 7]
+        assert weight_of(inst, Assignment.from_int(z, 9)) == weight_of(inner, low) + constant + weight_of(fixed, low)

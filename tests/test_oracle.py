@@ -43,6 +43,19 @@ class TestBruteForce:
         assert w_star == 1.0
         assert argmax == Assignment((0, 1))
 
+    def test_tie_break_is_lexicographic(self):
+        # among many maximizers the one whose (x1, ..., xn) is smallest wins,
+        # which is not the smallest packed index
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 5, 10):
+            for top in (1, 2, 3):
+                table = rng.integers(0, top + 1, 1 << n).astype(np.uint8)
+                table[rng.integers(0, 1 << n)] = top
+                best = min(
+                    (Assignment.from_int(z, n).bits, z) for z in range(1 << n) if table[z] == top
+                )[1]
+                assert maxcsp.oracle._optimum(table, n) == (float(top), best), (n, top)
+
     def test_argmax_weight_consistent(self):
         for seed in range(5):
             inst = random_wcnf(8, 15, 3, seed=seed)
@@ -99,28 +112,53 @@ class TestBruteForce:
             batch = weight_of_batch(inst, unpack_bits(z, 17))
             assert np.array_equal(assignment_weights(inst), batch)
 
-    @pytest.mark.parametrize("n", [18, 19, 20])
-    def test_counted_table_from_prefix_tables(self, n, monkeypatch):
-        # counted weights fill the table from the table of x1..x(n-2) where
-        # both sides have constraints; every table, split or not, must equal
-        # the unsplit kernel on all rows and the scalar reference on a sample
+    # constraint-rows the cofactor split evaluates, as a share of m * 2^n, per
+    # case at n = 18, 19, 20 (measured 0.315 / 0.320 / 0.106 for unit E3-CNF,
+    # against 0.463 / 0.485 / 0.396 when only the constraints over x1..x(n-2)
+    # were split off, and 1 unsplit)
+    _EVALUATED = {
+        "unit E3-CNF": (0.33, 0.33, 0.12),
+        "integer weights": (0.39, 0.39, 0.13),
+        "x(n) in no constraint": (0.31, 0.31, 0.10),
+        "every constraint touches the top two": (0.5, 0.5, 0.15),
+        "no constraint touches the top two": (0.25, 0.25, 0.09),
+    }
+
+    @staticmethod
+    def _cases(n):
         ints = (1.0, 2.0, 7.0, 1000.0, 2.0**40)
         csp = random_csp(n, 4 * n, 4, seed=n)
         top = [(n - i % 2, 1 + i % (n - 2), 1 + (i + 3) % (n - 2)) for i in range(2 * n)]
-        split = {
+        return {
             "unit E3-CNF": random_ekcnf(n, round(4.5 * n), 3, seed=n),
             "integer weights": CspInstance(
                 n,
                 tuple(Constraint(ints[i % 5], c.vars, c.truth_table) for i, c in enumerate(csp.constraints)),
             ),
             "x(n) in no constraint": CspInstance(n, random_ekcnf(n - 1, 4 * n, 3, seed=n).constraints),
-        }
-        whole = {
             "every constraint touches the top two": clauses_instance(
                 n, [(a if i % 2 else -a, b, -c) for i, (a, b, c) in enumerate(top)]
             ),
             "no constraint touches the top two": CspInstance(n, random_ekcnf(n - 2, 4 * n, 3, seed=n).constraints),
         }
+
+    @staticmethod
+    def _check_table(name, inst, table, rng):
+        # the unsplit kernel on every chunk, the scalar reference on a sample
+        n = inst.num_vars
+        assert table.dtype == np.min_scalar_type(int(inst.total_weight)), name
+        chunk = maxcsp.oracle._CHUNK
+        for start in range(0, 1 << n, chunk):
+            whole = _lane_counts(inst, enumeration_lanes(start, chunk, n), chunk)
+            assert np.array_equal(table[start : start + chunk], whole), (name, start)
+        for z in rng.integers(0, 1 << n, 200).tolist():
+            assert table[z] == weight_of(inst, Assignment.from_int(z, n)), (name, z)
+
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_counted_table_from_cofactors(self, n, monkeypatch):
+        # counted weights fill the table from the cofactors on x(n-1) and x(n)
+        # while a quarter holds a chunk; every table must equal the unsplit
+        # kernel on all rows and the scalar reference on a sample
         evaluated = []
 
         def counting(inst, lanes, rows):
@@ -129,25 +167,36 @@ class TestBruteForce:
 
         monkeypatch.setattr(maxcsp.oracle, "_lane_counts", counting)
         rng = np.random.default_rng(n)
-        for name, inst in {**split, **whole}.items():
+        for name, inst in self._cases(n).items():
             assert inst.counted_weights, name
             evaluated.clear()
             table = assignment_weights(inst)
-            assert table.dtype == np.min_scalar_type(int(inst.total_weight)), name
-            # the split evaluates each constraint only on the rows where it varies
-            assert (sum(evaluated) < inst.num_constraints << n) == (name in split), name
-            for start in range(0, 1 << n, 1 << 18):
-                z = np.arange(start, start + (1 << 18), dtype=np.uint64)[:, None]
-                batch = weight_of_batch(inst, unpack_bits(z, n))
-                assert np.array_equal(table[start : start + (1 << 18)], batch), (name, start)
-            for z in rng.integers(0, 1 << n, 200).tolist():
-                assert table[z] == weight_of(inst, Assignment.from_int(z, n)), (name, z)
+            # each constraint is evaluated only on the rows where the top variables leave it open
+            share = sum(evaluated) / (inst.num_constraints << n)
+            assert share <= self._EVALUATED[name][n - 18], (name, share)
+            self._check_table(name, inst, table, rng)
+
+    def test_counted_table_three_cofactor_levels(self):
+        # n=22 splits on x21, x22, then x19, x20 in add mode, then x17, x18;
+        # the weighted clauses take a uint16 table
+        rng = np.random.default_rng(22)
+        unit = random_ekcnf(22, 99, 3, seed=22)
+        weights = (1.0, 2.0, 7.0, 1000.0)
+        cases = {
+            "unit E3-CNF": unit,
+            "weighted E3-CNF": CspInstance(
+                22, tuple(Constraint(weights[i % 4], c.vars, c.truth_table) for i, c in enumerate(unit.constraints))
+            ),
+            "every constraint touches the top two": self._cases(22)["every constraint touches the top two"],
+        }
+        for name, inst in cases.items():
+            self._check_table(name, inst, assignment_weights(inst), rng)
 
     def test_uncounted_weights_are_summed_in_constraint_order(self):
         # a 2**53 clause first absorbs every later unit on the rows it
         # satisfies; summing the units apart first would give 2**53 + 2, and
         # real weights round differently in any other order, so neither may
-        # take the prefix split
+        # take the cofactor split
         n = 18
         low = random_ekcnf(n - 2, 60, 3, seed=4)
         high = clauses_instance(n, [(n - 1, -n), (1, -(n - 1)), (-2, n)] + [(2 + i, n) for i in range(8)])
@@ -166,10 +215,10 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", [18, 19, 20])
     def test_counted_table_memory(self, n):
-        # beyond the table and the kernel's own arrays for one chunk of the
-        # instance, the prefix split holds one chunk of added weights; two
-        # chunks is the bound. An inner table apart from the table would
-        # take 2^(n-2) * 8 bytes more (2 MiB at n=20)
+        # beyond a float64 table's worth and the kernel's own arrays for one
+        # chunk of the instance, the cofactor split holds its plans and, from
+        # n=20, the inner tables of add mode (2^16 rows at n=20); two float64
+        # chunks is the bound
         chunk = maxcsp.oracle._CHUNK
         term = np.empty(chunk)
         for inst in (random_ekcnf(n, round(4.5 * n), 3, seed=n), random_ekcnf(n, 15 * n, 3, seed=n)):
@@ -188,11 +237,12 @@ class TestBruteForce:
             kernel, table = peaks
             assert table <= 8 * (1 << n) + kernel + 2 * 8 * chunk, (inst.num_constraints, kernel, table)
 
-    @pytest.mark.parametrize("n", [18, 19, 20])
+    @pytest.mark.parametrize("n", [18, 19, 20, 22])
     def test_counted_table_memory_in_its_dtype(self, n):
         # a counted table holds itemsize bytes per row (one for unit 3-CNF
         # with m <= 255, two beyond), and its build adds at most the kernel's
-        # own peak for one chunk and two chunks of 8-byte values
+        # own peak for one chunk and two chunks of 8-byte values: at n=22 the
+        # add mode's inner tables of 2^18 and 2^16 rows must fit in them
         chunk = maxcsp.oracle._CHUNK
         for inst in (random_ekcnf(n, round(4.5 * n), 3, seed=n), random_ekcnf(n, 15 * n, 3, seed=n)):
             itemsize = np.min_scalar_type(int(inst.total_weight)).itemsize
