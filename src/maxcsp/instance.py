@@ -22,18 +22,16 @@ Conventions used throughout the package:
   (``_STACK_BYTES``): the count column-sums each by an adder tree inside
   it, and the float sum unpacks it in slices of that budget, so numpy calls
   are few and large at any row count.
-* The kernel's working arrays (the stack, the decoded counts, the float
-  sum's term) are kept per thread and reused by its next call (``_scratch``),
-  so a run of small calls does not make the allocator grow and trim the heap
-  every time. A thread keeps at most ``_STACK_BYTES`` of stack, or one block
-  of 64 constraints if that is larger, and at most 8 bytes per row of its
-  largest call for each of the other two. The oracle, whose calls are few
-  and large, gives them back after each table (``_release_scratch``).
+* Each thread keeps the kernel's constraint stack and reuses it in its next
+  call (``_stack_buffer``), so a run of small calls does not make the
+  allocator grow and trim the heap every time. A thread keeps at most
+  ``_STACK_BYTES`` of stack, or one block of 64 constraints if that is
+  larger. Every other array of a call is its own, and every result is the
+  caller's.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,7 +39,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, UnsupportedError, _real
+from .errors import DimensionError, DomainError, FormatError, UnsupportedError, _integer, _real
 from .rng import pack_lanes, unpack_bits
 
 MAX_ARITY = 20
@@ -120,7 +118,10 @@ class Assignment:
 
     @classmethod
     def from_int(cls, value: int, num_vars: int) -> "Assignment":
-        """Decode a little-endian packed assignment (bit i-1 = variable i)."""
+        """Decode a little-endian packed assignment (bit i-1 = variable i) of 0..2^num_vars - 1."""
+        value = _integer("value", value)
+        if value < 0 or value.bit_length() > num_vars:
+            raise DomainError(f"value {value} outside 0..2^{num_vars} - 1")
         return cls(tuple((value >> i) & 1 for i in range(num_vars)))
 
     @classmethod
@@ -274,12 +275,12 @@ def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> floa
 def weight_of_batch(inst: CspInstance, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized weights for a (batch, num_vars) 0/1 matrix, into ``out`` if given.
 
-    Accepts any memory order and any dtype holding 0/1 values; a
-    Fortran-order matrix, as ``rng.assignment_bits`` returns, packs fastest.
-    The columns are packed into lane words (``rng.pack_lanes``), so each
-    constraint yields one satisfied word per 64 rows. Each row's result is
-    bit-identical to the scalar ``weight_of`` of that row and independent of
-    how the batch is chunked:
+    Accepts any memory order and any integer or bool dtype holding 0/1
+    values; a Fortran-order matrix, as ``rng.assignment_bits`` returns, packs
+    fastest. The columns are packed into lane words (``rng.pack_lanes``), so
+    each constraint yields one satisfied word per 64 rows. Each row's result
+    is bit-identical to the scalar ``weight_of`` of that row and independent
+    of how the batch is chunked:
 
     * Integer weights whose integral total is at most 2**53: every partial sum
       of ``weight_of`` is an integer of at most 2**53, hence exact, so any
@@ -294,6 +295,8 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray, out: np.ndarray | None 
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
+    if bits.dtype.kind not in "biu":
+        raise DomainError(f"bit matrix must have an integer or bool dtype, not {bits.dtype}")
     return weight_of_lanes(inst, pack_lanes(bits), len(bits), out)
 
 
@@ -316,7 +319,7 @@ def weight_of_lanes(
         out[...] = _lane_counts(inst, lanes, rows)
         return out
     out.fill(0.0)
-    term = _scratch("term", (rows,), np.float64)
+    term = np.empty(rows)
     step = max(1, _STACK_BYTES // max(rows, 1))
     for weights, stack in _stacks(inst._lane_plan, lanes):
         for k in range(0, len(stack), step):
@@ -329,10 +332,9 @@ def weight_of_lanes(
 def _lane_counts(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
     """Exact integer weights of the first ``rows`` items of lane words, for counted weights.
 
-    The result is this thread's ``counts`` scratch array (``_scratch``), in
-    the smallest unsigned dtype that holds the weight of the satisfiable
-    constraints, so it must be used or copied before the thread's next
-    kernel call. The count is decoded once, after the last stack.
+    The result is a new array in the smallest unsigned dtype that holds the
+    weight of the satisfiable constraints. The count is decoded once, after
+    the last stack.
     """
     # bit planes of each row's count, least significant first, and the
     # weight of the constraints counted so far, which bounds every row's count
@@ -353,7 +355,7 @@ def _lane_counts(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
             total = total[:k] + _add(total[k:], stack_sum)
         seen += int(weights.sum())
         total = total[: seen.bit_length()]
-    return _values(total, rows, _scratch("counts", (rows,), np.min_scalar_type(seen)))
+    return _values(total, rows, np.empty(rows, np.min_scalar_type(seen)))
 
 
 # satisfiable constraints per block of the plan, grouped by expression shape
@@ -375,29 +377,24 @@ _OPS_PER_VAR = 16
 _ONES = 0xFFFFFFFFFFFFFFFF
 
 
-# each thread's working arrays of the kernel, by name (``_scratch``)
+# each thread's constraint stack (``_stack_buffer``)
 _held = threading.local()
 
 
-def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """This thread's array for ``name``, in the memory its earlier requests took.
+def _stack_buffer(rows: int, words: int) -> np.ndarray:
+    """This thread's (rows, words) uint64 stack, in the memory its earlier requests took.
 
     The memory grows to the largest request and is kept while the thread
-    lives. The content is whatever the last user left, and the next request
-    for ``name`` on this thread hands the same memory out again, so the
-    array must not outlive the call that takes it.
+    lives. The content is whatever the last call left, and the thread's next
+    request hands the same memory out again, so the stack must not outlive
+    the call that takes it.
     """
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    arrays = vars(_held)  # the attributes of this thread only
-    if name not in arrays or arrays[name].nbytes < size:
-        arrays.pop(name, None)  # the smaller array goes before the larger one comes
-        arrays[name] = np.empty(size, np.uint8)
-    return arrays[name][:size].view(dtype).reshape(shape)
-
-
-def _release_scratch() -> None:
-    """Give back this thread's ``_scratch`` arrays; the next request takes new memory."""
-    vars(_held).clear()
+    size = rows * words
+    held = getattr(_held, "stack", None)
+    if held is None or held.size < size:
+        _held.stack = None  # the smaller array goes before the larger one comes
+        held = _held.stack = np.empty(size, np.uint64)
+    return held[:size].reshape(rows, words)
 
 
 class _Block(NamedTuple):
@@ -556,14 +553,14 @@ def _satisfied_words(block: _Block, lanes: np.ndarray, stack: np.ndarray) -> Non
 def _stacks(blocks: list[_Block], lanes: np.ndarray):
     """(weights, stack) per run of consecutive blocks; the stack holds their satisfied words.
 
-    Every stack is a view of the thread's one stack buffer of at most
-    ``_STACK_BYTES`` (at least one block), which the next stack overwrites.
-    Rows and weights are in constraint order.
+    Every stack is a view of the thread's one stack buffer (``_stack_buffer``)
+    of at most ``_STACK_BYTES`` (at least one block), which the next stack
+    overwrites. Rows and weights are in constraint order.
     """
     words = lanes.shape[1]
     per_stack = max(1, _STACK_BYTES // (8 * _BLOCK * max(words, 1)))
     size = min(per_stack * _BLOCK, sum(len(block.weights) for block in blocks))
-    buffer = _scratch("stack", (size, words), np.uint64)
+    buffer = _stack_buffer(size, words)
     for first in range(0, len(blocks), per_stack):
         run = blocks[first : first + per_stack]
         weights = np.concatenate([block.weights for block in run])

@@ -54,7 +54,7 @@ from .bounds import (
     entropy_scaling_gap,
 )
 from .errors import DomainError, SizeError, _integer
-from .instance import Assignment, CspInstance, _lane_counts, _release_scratch, weight_of_lanes
+from .instance import Assignment, CspInstance, _lane_counts, weight_of_lanes
 from .rng import enumeration_lanes
 
 ORACLE_CAP = 24
@@ -83,10 +83,6 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
         # ValueError when its byte size does not fit in an address
         raise SizeError(f"no memory for the 2^{n}-entry weight table: {exc}") from exc
     _fill_table(inst, out)
-    # the table is built from few, large chunks, so keeping their kernel
-    # arrays (about 1 MB at 65,536 rows) for the next call would save little
-    # and would add to the peak of the work the caller does with the table
-    _release_scratch()
     return out
 
 

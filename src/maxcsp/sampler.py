@@ -14,9 +14,6 @@ of a multiple of 64 samples, so every chunk starts on a block of lane words
 matrix fits in 2**24 bytes, with rows clamped to [64, 65,536] (65,536 up to
 n = 256, 16,768 at n = 1000), so the working set stays bounded as n grows. A
 budget smaller than one such chunk per worker is shared out evenly instead.
-A chunk's weights go into an array its thread keeps for the next chunk
-(``instance._scratch``, as for the kernel's own working arrays), so a run
-of small solves does not grow and trim the heap on every call.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .errors import BudgetOverflowError, DomainError, UnsupportedError, _integer
 from .instance import (
     Assignment,
     CspInstance,
-    _scratch,
     clause_length_histogram,
     ksat_optimum_lower_bound,
     weight_of_batch,
@@ -124,12 +120,7 @@ def iteration_budget(inst: CspInstance, cfg: SamplerConfig) -> int:
 
 def _scan_chunk(inst: CspInstance, seed: int, start: int, count: int) -> list[tuple[int, float]]:
     """Strict prefix maxima (index, weight) of samples [start, start + count), in index order."""
-    # the weights go into the thread's reused buffer: only the events leave this call
-    weights = weight_of_batch(
-        inst,
-        assignment_bits(seed, start, count, inst.num_vars),
-        out=_scratch("weights", (count,), np.float64),
-    )
+    weights = weight_of_batch(inst, assignment_bits(seed, start, count, inst.num_vars))
     # a row rises above every earlier row only inside a 64-row block whose
     # maximum rises above every earlier block's, so only those blocks are scanned
     peaks = np.maximum.reduceat(weights, np.arange(0, count, 64))

@@ -26,7 +26,7 @@ from maxcsp import (
     weight_of,
     weight_of_batch,
 )
-from maxcsp.instance import _restrict
+from maxcsp.instance import _restrict, _stack_buffer
 
 from helpers import clauses_instance
 
@@ -239,6 +239,11 @@ class TestAssignment:
     def test_little_endian(self):
         assert Assignment.from_int(1, 3).bits == (1, 0, 0)
 
+    @pytest.mark.parametrize("value", [-1, 8, 1 << 70, True, 1.0])
+    def test_from_int_takes_only_values_of_n_bits(self, value):
+        with pytest.raises(DomainError):
+            Assignment.from_int(value, 3)
+
     def test_string_forms(self):
         z = Assignment.from_string("0110")
         assert str(z) == "0110"
@@ -355,7 +360,7 @@ def test_batch_matches_scalar_exactly():
         for rows in (0, 1, 63, 64, 65, 130):
             bits = rng.integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
             expected = [weight_of(inst, tuple(int(b) for b in row)) for row in bits]
-            # any memory order and any 0/1 dtype
+            # any memory order and any integer or bool dtype
             for layout in (bits, np.asfortranarray(bits), bits.astype(np.int64), bits.astype(bool)):
                 assert weight_of_batch(inst, layout).tolist() == expected
 
@@ -363,6 +368,12 @@ def test_batch_matches_scalar_exactly():
 def test_batch_dimension_check(single_pair):
     with pytest.raises(DimensionError):
         weight_of_batch(single_pair, np.zeros((3, 5), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, object])
+def test_batch_dtype_check(single_pair, dtype):
+    with pytest.raises(DomainError, match="integer or bool dtype"):
+        weight_of_batch(single_pair, np.ones((2, 2), dtype=dtype))
 
 
 def test_stack_budget_never_changes_a_result(monkeypatch):
@@ -517,6 +528,45 @@ def test_threads_keep_their_own_buffers(kernel_paths):
     assert results == {name: serial[name] * 3 for name in work}
     for name, batches in work.items():
         assert serial[name] == [_expected(tables[name], bits).tobytes() for bits in batches]
+
+
+def test_each_thread_keeps_its_own_stack(kernel_paths):
+    instances, tables = kernel_paths
+    rng = np.random.default_rng(35)
+    # two threads at once, on different instances and row counts
+    work = {
+        "counted": rng.integers(0, 2, size=(18_863, 12)).astype(np.uint8),
+        "lookup_float": rng.integers(0, 2, size=(130, 12)).astype(np.uint8),
+    }
+    serial = {name: weight_of_batch(instances[name], bits).tobytes() for name, bits in work.items()}
+    start = threading.Barrier(len(work))
+    results: dict[str, list[bytes]] = {}
+    stacks: dict[str, list[np.ndarray]] = {}
+
+    def evaluate(name):
+        start.wait(timeout=60)
+        results[name], stacks[name] = [], []
+        for _ in range(20):
+            results[name].append(weight_of_batch(instances[name], work[name]).tobytes())
+            stacks[name].append(_stack_buffer(1, 1))
+
+    threads = [threading.Thread(target=evaluate, args=(name,)) for name in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for name, bits in work.items():
+        assert serial[name] == _expected(tables[name], bits).tobytes()
+        assert results[name] == [serial[name]] * 20
+        # every call on one thread reuses that thread's stack
+        assert all(np.shares_memory(stacks[name][0], stack) for stack in stacks[name][1:])
+    assert not np.shares_memory(stacks["counted"][0], stacks["lookup_float"][0])
 
 
 def _check_restrict(c, fixed):

@@ -26,7 +26,7 @@ from maxcsp import (
     weight_of_batch,
 )
 import maxcsp.oracle
-from maxcsp.instance import _lane_counts, _release_scratch, weight_of_lanes
+from maxcsp.instance import _STACK_BYTES, _held, _lane_counts, weight_of_lanes
 from maxcsp.rng import enumeration_lanes, unpack_bits
 
 from helpers import clauses_instance
@@ -227,7 +227,7 @@ class TestBruteForce:
                 lambda: weight_of_lanes(inst, enumeration_lanes(0, chunk, n), chunk, out=term),
                 lambda: assignment_weights(inst),
             ):
-                _release_scratch()
+                vars(_held).clear()  # this thread's kernel stack
                 tracemalloc.start()
                 try:
                     build()
@@ -251,7 +251,7 @@ class TestBruteForce:
                 lambda: _lane_counts(inst, enumeration_lanes(0, chunk, n), chunk),
                 lambda: assignment_weights(inst),
             ):
-                _release_scratch()
+                vars(_held).clear()  # this thread's kernel stack
                 tracemalloc.start()
                 try:
                     build()
@@ -261,17 +261,19 @@ class TestBruteForce:
             kernel, table = peaks
             assert table <= itemsize * (1 << n) + kernel + 2 * 8 * chunk, (inst.num_constraints, kernel, table)
 
-    def test_table_keeps_no_kernel_arrays(self):
-        # the kernel keeps its working arrays per thread between calls; the
-        # table's few, large chunks give theirs back, about 1 MB here
+    def test_table_keeps_one_kernel_stack(self):
+        # of the kernel's arrays a table leaves only the thread's constraint
+        # stack (480 KB here); the rest is the instance's plan
         inst = random_wcnf(18, 60, 4, seed=1)
+        vars(_held).clear()
         tracemalloc.start()
         try:
             assert len(assignment_weights(inst)) == 1 << 18
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert kept < 2**16
+        assert _held.stack.nbytes <= _STACK_BYTES
+        assert kept < _held.stack.nbytes + 2**16
 
 
 class TestCountNearOptimal:

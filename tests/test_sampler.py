@@ -25,6 +25,7 @@ from maxcsp import (
 
 import maxcsp.sampler as sampler
 from helpers import clauses_instance
+from maxcsp.instance import _held
 from maxcsp.oracle import _near_optimal
 from maxcsp.rng import assignment_bits
 
@@ -392,22 +393,23 @@ class TestSolve:
         assert peak < 1.4 * inst.num_vars * samples
 
     def test_small_solves_reuse_the_kernel_buffers(self):
-        # the kernel keeps its working arrays per thread, so from the second
-        # call on a small solve only takes its bit matrix and a few small
-        # arrays; allocating them afresh every call peaks at 648 KB here
+        # the thread keeps the kernel's constraint stack, so from the second
+        # call on a small solve does not allocate it again
         inst = random_ekcnf(12, 40, 3, seed=1)
-        peaks = []
+        vars(_held).clear()
+        peaks, stacks = [], []
         tracemalloc.start()
         try:
             for seed in range(4):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                res = solve_ksat(inst, 3, epsilon=0.125, fail_prob=1e-2, seed=seed)
+                solve_ksat(inst, 3, epsilon=0.125, fail_prob=1e-2, seed=seed)
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                stacks.append(_held.stack)
         finally:
             tracemalloc.stop()
-        bit_matrix = res.iterations_used * inst.num_vars
-        assert all(peak < 2 * bit_matrix for peak in peaks[1:])
+        assert all(stack is stacks[0] for stack in stacks)
+        assert all(peak <= peaks[0] - stacks[0].nbytes for peak in peaks[1:])
 
     def test_covers_whole_space_matches_oracle(self):
         inst = random_ekcnf(6, 18, 3, seed=14)
