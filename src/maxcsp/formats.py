@@ -8,9 +8,10 @@ CNF     comment lines start with 'c'; one header ``p cnf <n> <m>``; then m
         trailing '0' lines after the final clause are tolerated with a
         warning.
 
-WCNF    header ``p wcnf <n> <m>`` or ``p wcnf <n> <m> <top>``; each clause
-        is ``<weight> <lits...> 0`` with a positive real weight. A weight
-        equal to ``top`` marks a hard clause, which is out of scope here.
+WCNF    header ``p wcnf <n> <m>`` or ``p wcnf <n> <m> <top>`` with a positive
+        ``top`` (``inf`` allowed, NaN not); each clause is
+        ``<weight> <lits...> 0`` with a positive real weight. A weight equal
+        to ``top`` marks a hard clause, which is out of scope here.
 
 CSP     header ``csp <n>``; one constraint per line:
         ``t <weight> <arity> <v1> ... <va> <table>`` where <table> is a
@@ -83,6 +84,9 @@ def _parse_dimacs(text: str, weighted: bool) -> tuple[CspInstance, ParseDiagnost
                     top = float(fields[4])
                 except ValueError:
                     raise FormatError("top weight must be a number", no) from None
+                # a NaN top would match no weight, so no hard clause would be caught
+                if not top > 0.0:
+                    raise FormatError("top weight must be positive", no)
             header = (n, m, top, no)
             continue
         if header is None:

@@ -26,11 +26,34 @@ E3-CNF at n=20. The split recurses while a quarter holds at least a chunk.
 Every partial sum is the integer weight of a subset of the constraints,
 exact in any order and within the dtype, so the table is the one a single
 pass gives. The instance keeps its cofactors, and they keep their own, so
-a repeated table reuses their plans. Real weights, and integer totals
-above 2**53, keep a float64 table and the single pass in constraint order,
-because their float sums depend on it.
+a repeated table reuses their plans. The chunks of every leaf of one split
+share one set of lanes. Real weights, and integer totals above 2**53, get
+a float64 table from ``assignment_weights`` in a single pass in constraint
+order, because their float sums depend on it.
 
-On top of the exact weight table this module checks, constant-free, the
+The optimum and the near-optimal counts do not read that float table. They
+read the integer table of the instance's quantization
+(``CspInstance._quantized``): each weight floored to a multiple of a power
+of two u, in units of u, a counted instance whose table is built as above.
+A row x with quantized total Q(x) has a float weight F(x) = ``weight_of(x)``
+with
+
+    u*Q(x) - g <= F(x) <= u*Q(x) + R + g,
+
+where R = W - u*Q_total < u*m is what the flooring took off all m weights
+(W their exact sum) and g = gamma_{m-1}*W bounds the rounding of a float
+sum of at most m positive terms in any order; both are exact fractions.
+So a row whose bounds clear the maximum's, or lie wholly on one side of the
+near-optimal threshold, is decided by Q alone, and only the rows whose
+interval straddles it are evaluated, through ``weight_of_batch``, which
+gives ``weight_of`` exactly. Ties, the lexicographic argmax and rows lying
+exactly on the threshold are thus judged on the same floats as before.
+Counted weights are the same code with u = 1, R = 0 and g = 0: the table
+is the weight and no row is evaluated again. Light weights that floor to
+0 only widen R, so an instance whose light constraints decide the count
+has most rows evaluated, a chunk at a time.
+
+On top of these exact weights this module checks, constant-free, the
 records of ``counting_bound`` itself: for every threshold it evaluates,
 the number of assignments within additive slack eps*w of the optimum is
 at least sum_{i<=r} C(|S|,i), the record's |S| is the size of the set it
@@ -42,7 +65,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +79,8 @@ from .bounds import (
     entropy_scaling_gap,
 )
 from .errors import DomainError, SizeError, _integer
-from .instance import Assignment, CspInstance, _lane_counts, weight_of_lanes
-from .rng import enumeration_lanes
+from .instance import Assignment, CspInstance, _lane_counts, weight_of_batch, weight_of_lanes
+from .rng import enumeration_lanes, unpack_bits
 
 ORACLE_CAP = 24
 # a multiple of 64, so every chunk starts at a lane-word boundary
@@ -82,11 +107,32 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
         # numpy raises MemoryError when the host refuses the table, and
         # ValueError when its byte size does not fit in an address
         raise SizeError(f"no memory for the 2^{n}-entry weight table: {exc}") from exc
-    _fill_table(inst, out)
+    _fill_table(inst, out, lanes=_leaf_lanes(inst))
     return out
 
 
-def _fill_table(inst: CspInstance, out: np.ndarray, add: bool = False) -> None:
+def _leaf_lanes(inst: CspInstance) -> tuple[np.ndarray, ...] | None:
+    """Read-only lanes of each chunk of the leaf tables of a cofactor split, or None.
+
+    Every leaf of a counted table's split has the same size, and a leaf of
+    k variables holds the values 0..2^k - 1, so all leaves share these lanes.
+    A table that is not split is its own leaf and builds each chunk's lanes
+    as it goes, since it reads each of them once.
+    """
+    n = inst.num_vars
+    if not inst.counted_weights or 1 << n < 4 * _CHUNK:
+        return None
+    while 1 << n >= 4 * _CHUNK:
+        n -= 2
+    lanes = tuple(enumeration_lanes(start, min(_CHUNK, 1 << n), n) for start in range(0, 1 << n, _CHUNK))
+    for chunk in lanes:
+        chunk.flags.writeable = False
+    return lanes
+
+
+def _fill_table(
+    inst: CspInstance, out: np.ndarray, add: bool = False, lanes: tuple[np.ndarray, ...] | None = None
+) -> None:
     """Write, or with ``add`` add, the weight of every assignment of ``inst`` into ``out``.
 
     Counted weights are built from cofactors (``CspInstance._cofactors``)
@@ -94,20 +140,21 @@ def _fill_table(inst: CspInstance, out: np.ndarray, add: bool = False) -> None:
     constraints' table goes into every quarter, and each quarter adds its
     constant and its fixed constraints' table. Every partial sum is the
     weight of a subset of the constraints, at most the total weight, so
-    none overflows the table's dtype.
+    none overflows the table's dtype. ``lanes`` are the leaves' chunk lanes
+    (``_leaf_lanes``).
     """
     n = inst.num_vars
     counted = inst.counted_weights
     if not counted or len(out) < 4 * _CHUNK:
-        for start in range(0, len(out), _CHUNK):
+        for i, start in enumerate(range(0, len(out), _CHUNK)):
             chunk = out[start : start + _CHUNK]
-            lanes = enumeration_lanes(start, len(chunk), n)
+            chunk_lanes = enumeration_lanes(start, len(chunk), n) if lanes is None else lanes[i]
             if not counted:
-                weight_of_lanes(inst, lanes, len(chunk), out=chunk)
+                weight_of_lanes(inst, chunk_lanes, len(chunk), out=chunk)
             elif add:
-                chunk += _lane_counts(inst, lanes, len(chunk))
+                chunk += _lane_counts(inst, chunk_lanes, len(chunk))
             else:
-                chunk[...] = _lane_counts(inst, lanes, len(chunk))
+                chunk[...] = _lane_counts(inst, chunk_lanes, len(chunk))
         return
     inner, cofactors = inst._cofactors
     quarters = out.reshape(4, -1)
@@ -115,17 +162,17 @@ def _fill_table(inst: CspInstance, out: np.ndarray, add: bool = False) -> None:
         if inner is None:
             quarters[0] = 0
         else:
-            _fill_table(inner, quarters[0])
+            _fill_table(inner, quarters[0], lanes=lanes)
         quarters[1:] = quarters[0]
     elif inner is not None:
         part = np.empty_like(quarters[0])
-        _fill_table(inner, part)
+        _fill_table(inner, part, lanes=lanes)
         quarters += part
     for quarter, (fixed, constant) in zip(quarters, cofactors):
         if constant:
             quarter += constant
         if fixed is not None:
-            _fill_table(fixed, quarter, add=True)
+            _fill_table(fixed, quarter, add=True, lanes=lanes)
 
 
 def _threshold_tolerance(inst: CspInstance) -> float:
@@ -136,20 +183,67 @@ def _threshold_tolerance(inst: CspInstance) -> float:
     return inst.num_constraints * math.ulp(inst.total_weight)
 
 
-def _near_optimal(inst: CspInstance, weights: np.ndarray, w_star: float, epsilon: float) -> np.ndarray:
-    """Which assignments weigh at least w* - epsilon*w, less the rounding tolerance."""
-    threshold = w_star - epsilon * inst.total_weight - _threshold_tolerance(inst)
-    if weights.dtype.kind == "u":
-        # an integer weighs at least t exactly when it weighs at least ceil(t),
-        # which lies in 0..w*, so the comparison stays in the table's dtype
-        threshold = max(0, math.ceil(threshold))
-    return weights >= threshold
+def _threshold(inst: CspInstance, w_star: float, epsilon: float) -> float:
+    """The least weight of a near-optimal assignment: w* - epsilon*w, less the rounding tolerance."""
+    return w_star - epsilon * inst.total_weight - _threshold_tolerance(inst)
 
 
-def _optimum(weights: np.ndarray, n: int) -> tuple[float, int]:
-    """Maximum of a weight table and the packed index of its lexicographically smallest maximizer."""
+class _Bounds(NamedTuple):
+    """An integer table that brackets the float weight of every assignment.
+
+    ``table`` is ``assignment_weights`` of the quantized instance
+    (``CspInstance._quantized``): row x holds Q(x), the total in units of
+    u = 2**e of the floored weights of the constraints x satisfies. Its
+    weight ``weight_of(x)`` lies in [u*Q(x) - below, u*Q(x) + above].
+    """
+
+    inst: CspInstance
+    table: np.ndarray
+    e: int
+    below: Fraction
+    above: Fraction
+
+
+def _bounds(inst: CspInstance, cap: int) -> _Bounds:
+    """The bound table of ``inst``, with margins that hold for every row.
+
+    Write E(x) for the exact sum of the weights x satisfies and F(x) for
+    ``weight_of(x)``, their float sum in constraint order. Each floored
+    weight is below its weight by less than u, so 0 <= E(x) - u*Q(x) <= R,
+    the sum of those shortfalls over all constraints: R = W - u*Q_total,
+    with W the exact sum of the weights. A recursive float sum of k
+    positive terms is within gamma_{k-1} = (k-1)*2**-53 / (1 - (k-1)*2**-53)
+    of their exact sum, relative to it, so |F(x) - E(x)| <= gamma_{m-1}*W.
+    Hence below = gamma_{m-1}*W and above = R + gamma_{m-1}*W, both exact
+    fractions. Counted weights are their own quantization: u = 1, R = 0
+    and exact sums, so both margins are 0 and the table is the weight.
+    """
+    quantized, e = inst._quantized
+    table = assignment_weights(quantized, cap)
+    # the exact sum of the weights, each p/2**k, over their largest 2**k
+    ratios = [c.weight.as_integer_ratio() for c in inst.constraints]
+    scale = max(den for _, den in ratios)
+    exact = Fraction(sum(num * (scale // den) for num, den in ratios), scale)
+    k = 0 if inst.counted_weights else inst.num_constraints - 1
+    below = Fraction(k, 2**53 - k) * exact
+    above = exact - Fraction(2) ** e * int(quantized.total_weight) + below
+    return _Bounds(inst, table, e, below, above)
+
+
+def _weights(bounds: _Bounds, rows: np.ndarray) -> np.ndarray:
+    """``weight_of`` of the given packed rows, exact: from the table where its margins are 0."""
+    if not (bounds.below or bounds.above):
+        return np.ldexp(bounds.table[rows].astype(np.float64), bounds.e)
+    return weight_of_batch(bounds.inst, unpack_bits(rows.astype(np.uint64)[:, None], bounds.inst.num_vars))
+
+
+def _optimum(weights: np.ndarray, n: int, rows: np.ndarray) -> tuple[float, int]:
+    """Maximum of ``weights`` and the packed index of its lexicographically smallest maximizer.
+
+    ``weights[i]`` is the weight of packed row ``rows[i]``.
+    """
     top = weights.max()
-    candidates = np.flatnonzero(weights == top)
+    candidates = rows[weights == top]
     # x1 is bit 0: from x1 upward, keep the maximizers with the bit clear if any has it
     for f in range(n):
         if len(candidates) == 1:
@@ -160,17 +254,78 @@ def _optimum(weights: np.ndarray, n: int) -> tuple[float, int]:
     return float(top), int(candidates[0])
 
 
+def _bound_optimum(bounds: _Bounds) -> tuple[float, int]:
+    """w* and its lexicographically smallest maximizer, from the rows that may reach it.
+
+    The row of the largest Q weighs at least u*Q_max - below, so a row can
+    only be a maximizer if u*Q + above reaches that: Q >= Q_max -
+    floor((above + below) / u). Only those rows are evaluated.
+    """
+    table = bounds.table
+    cut = int(table.max()) - math.floor((bounds.above + bounds.below) / Fraction(2) ** bounds.e)
+    rows = np.concatenate(
+        [start + np.flatnonzero(table[start : start + _CHUNK] >= cut) for start in range(0, len(table), _CHUNK)]
+    )
+    return _optimum(_weights(bounds, rows), bounds.inst.num_vars, rows)
+
+
+class _Near(NamedTuple):
+    """Which rows weigh at least ``threshold``: all with Q >= ``sure``, none with Q < ``maybe``.
+
+    The rows with ``maybe`` <= Q < ``sure`` are decided by their exact weight.
+    """
+
+    threshold: float
+    sure: int
+    maybe: int
+
+
+def _near(bounds: _Bounds, threshold: float) -> _Near:
+    """The rows that weigh at least ``threshold``, in terms of Q.
+
+    u*Q - below >= threshold holds exactly when Q >= ceil((threshold +
+    below) / u), and u*Q + above < threshold exactly when Q <
+    ceil((threshold - above) / u).
+    """
+    t, u = Fraction(threshold), Fraction(2) ** bounds.e
+    return _Near(threshold, math.ceil((t + bounds.below) / u), math.ceil((t - bounds.above) / u))
+
+
+def _count_near(bounds: _Bounds, near: _Near) -> int:
+    """The number of near-optimal rows, evaluating only those the table cannot decide."""
+    count = 0
+    for start in range(0, len(bounds.table), _CHUNK):
+        part = bounds.table[start : start + _CHUNK]
+        count += int(np.count_nonzero(part >= near.sure))
+        if near.maybe < near.sure:
+            rows = start + np.flatnonzero((part >= near.maybe) & (part < near.sure))
+            if len(rows):
+                count += int(np.count_nonzero(_weights(bounds, rows) >= near.threshold))
+    return count
+
+
+def _is_near(bounds: _Bounds, near: _Near, rows: np.ndarray) -> np.ndarray:
+    """Whether each of the given packed rows is near-optimal."""
+    q = bounds.table[rows]
+    inside = q >= near.sure
+    undecided = ~inside & (q >= near.maybe)
+    if undecided.any():
+        inside[undecided] = _weights(bounds, rows[undecided]) >= near.threshold
+    return inside
+
+
 def brute_force_optimum(inst: CspInstance, cap: int = ORACLE_CAP) -> tuple[float, Assignment]:
     """Exact maximum weight and its lexicographically smallest maximizer."""
-    w_star, z = _optimum(assignment_weights(inst, cap), inst.num_vars)
+    w_star, z = _bound_optimum(_bounds(inst, cap))
     return w_star, Assignment.from_int(z, inst.num_vars)
 
 
 def count_near_optimal(inst: CspInstance, epsilon: float, cap: int = ORACLE_CAP) -> int:
     """Exact number of assignments with weight >= w* - eps*w."""
     epsilon = _check_epsilon(epsilon)
-    weights = assignment_weights(inst, cap)
-    return int(np.count_nonzero(_near_optimal(inst, weights, float(weights.max()), epsilon)))
+    bounds = _bounds(inst, cap)
+    w_star, _ = _bound_optimum(bounds)
+    return _count_near(bounds, _near(bounds, _threshold(inst, w_star, epsilon)))
 
 
 @dataclass(frozen=True)
@@ -210,10 +365,10 @@ def verify_counting_bound(
     """
     cb = counting_bound(inst, epsilon, w_bar)
     n = inst.num_vars
-    weights = assignment_weights(inst, cap)
-    w_star, z0 = _optimum(weights, n)
-    near = _near_optimal(inst, weights, w_star, cb.effective_epsilon)
-    d_exact = int(np.count_nonzero(near))
+    bounds = _bounds(inst, cap)
+    w_star, z0 = _bound_optimum(bounds)
+    near = _near(bounds, _threshold(inst, w_star, cb.effective_epsilon))
+    d_exact = _count_near(bounds, near)
 
     checks = []
     for rec in cb.per_delta:
@@ -221,7 +376,7 @@ def verify_counting_bound(
         members = [z0 ^ sum(c) for size in range(rec.r + 1) for c in combinations(masks, size)]
         sigma = binomial_sum(rec.s_size, rec.r)
         # sigma counts the record's |S|, so it must be the set the replay flips
-        members_ok = len(masks) == rec.s_size and bool(near[np.array(members, dtype=np.int64)].all())
+        members_ok = len(masks) == rec.s_size and bool(_is_near(bounds, near, np.array(members, dtype=np.int64)).all())
         checks.append(
             DeltaCheck(
                 delta=rec.delta,

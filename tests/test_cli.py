@@ -152,6 +152,14 @@ class TestSolve:
         assert code == 2
         assert "hard constraints out of scope" in err
 
+    def test_nan_top_exit_2(self, tmp_path, capsys):
+        # with a NaN top no weight would equal it, so the hard clause would pass
+        bad = tmp_path / "nan.wcnf"
+        bad.write_text("p wcnf 3 2 nan\n5 1 2 0\n1 -3 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(bad), "--eps", "0.1")
+        assert (code, out) == (2, "")
+        assert "line 1" in err and "top weight must be positive" in err
+
     def test_budget_overflow_exit_3(self, tmp_path, capsys):
         from maxcsp import random_ekcnf, serialize
 

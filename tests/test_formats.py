@@ -137,6 +137,19 @@ class TestParseWcnf:
         inst, _ = parse_wcnf("p wcnf 2 1 10\n3 1 2 0\n")
         assert inst.total_weight == 3.0
 
+    @pytest.mark.parametrize("top", ["nan", "0", "-1", "-inf"])
+    def test_top_must_be_positive(self, top):
+        # a NaN top matches no weight, which would let a hard clause through,
+        # and a non-positive one would fail only at the first clause line
+        with pytest.raises(FormatError, match="top weight must be positive") as exc:
+            parse_wcnf(f"c header\np wcnf 3 2 {top}\n1 1 0\n2 -2 3 0\n")
+        assert exc.value.line == 2
+
+    def test_infinite_top_marks_no_clause_hard(self):
+        plain, _ = parse_wcnf("p wcnf 3 2\n1 1 0\n2 -2 3 0\n")
+        inst, _ = parse_wcnf("p wcnf 3 2 inf\n1 1 0\n2 -2 3 0\n")
+        assert inst == plain
+
 
 class TestParseCsp:
     def test_unit_true_constraint(self):

@@ -26,6 +26,7 @@ from maxcsp import (
     weight_of_batch,
 )
 import maxcsp.oracle
+from maxcsp.oracle import DeltaCheck, VerificationReport
 from maxcsp.instance import _STACK_BYTES, _held, _lane_counts, weight_of_lanes
 from maxcsp.rng import enumeration_lanes, unpack_bits
 
@@ -54,7 +55,7 @@ class TestBruteForce:
                 best = min(
                     (Assignment.from_int(z, n).bits, z) for z in range(1 << n) if table[z] == top
                 )[1]
-                assert maxcsp.oracle._optimum(table, n) == (float(top), best), (n, top)
+                assert maxcsp.oracle._optimum(table, n, np.arange(1 << n)) == (float(top), best), (n, top)
 
     def test_argmax_weight_consistent(self):
         for seed in range(5):
@@ -175,6 +176,25 @@ class TestBruteForce:
             share = sum(evaluated) / (inst.num_constraints << n)
             assert share <= self._EVALUATED[name][n - 18], (name, share)
             self._check_table(name, inst, table, rng)
+
+    @pytest.mark.parametrize("n, chunks", [(17, 2), (19, 2), (20, 1), (22, 1)])
+    def test_leaf_lanes_built_once_per_table(self, n, chunks, monkeypatch):
+        # every leaf of a split has the same variables, so the lanes of its
+        # chunks are built once per table and shared read-only: the one chunk
+        # of x1..x16 at n=20 and n=22, the two of x1..x17 at n=19, and an
+        # unsplit table's own chunks at n=17
+        built = []
+
+        def building(start, count, num_vars):
+            built.append((start, num_vars))
+            return enumeration_lanes(start, count, num_vars)
+
+        monkeypatch.setattr(maxcsp.oracle, "enumeration_lanes", building)
+        inst = random_ekcnf(n, round(4.5 * n), 3, seed=n)
+        table = assignment_weights(inst)
+        assert len(built) == chunks == len(set(built)), built
+        monkeypatch.undo()
+        assert np.array_equal(table, weight_of_batch(inst, unpack_bits(np.arange(1 << n, dtype=np.uint64)[:, None], n)))
 
     def test_counted_table_three_cofactor_levels(self):
         # n=22 splits on x21, x22, then x19, x20 in add mode, then x17, x18;
@@ -426,9 +446,10 @@ class TestVerifyCountingBound:
                 assert count_near_optimal(scaled, eps) == count_near_optimal(inst, eps)
 
     def test_float_path_memory(self):
-        # real weights take the float path over 65,536-row chunks; unpacking
-        # a whole 60-constraint block of satisfied words at once peaks at
-        # 7.4 MiB, a few constraints at a time at 4.6 MiB
+        # real weights are answered from the integer table of their
+        # quantization (1.5 MiB here), not a float64 table; the bound dates
+        # from the float path, whose 65,536-row chunks unpacking a few
+        # constraints at a time peaked at 4.6 MiB
         inst = random_wcnf(18, 60, 4, seed=1)
         tracemalloc.start()
         try:
@@ -446,6 +467,213 @@ class TestVerifyCountingBound:
         inst = random_ekcnf(12, 10, 3, seed=0)
         with pytest.raises(SizeError):
             verify_counting_bound(inst, 0.5, cap=10)
+
+
+def _reweighted(inst, weights):
+    return CspInstance(
+        inst.num_vars,
+        tuple(Constraint(w, c.vars, c.truth_table) for w, c in zip(weights, inst.constraints)),
+        clause_built=inst.clause_built,
+    )
+
+
+def _lex_first(rows, n):
+    # (x1, ..., xn) in lexicographic order is the packed index with its n bits reversed
+    key = sum(((rows >> f) & 1) << (n - 1 - f) for f in range(n))
+    return int(rows[np.argmin(key)])
+
+
+def _from_float_table(inst, table, eps, w_bar=None):
+    """The optimum, count_near_optimal and VerificationReport, derived from the float table."""
+    n = inst.num_vars
+    w_star = float(table.max())
+    z0 = _lex_first(np.flatnonzero(table == w_star), n)
+    count = int(np.count_nonzero(table >= maxcsp.oracle._threshold(inst, w_star, eps)))
+    cb = counting_bound(inst, eps, w_bar)
+    near = table >= maxcsp.oracle._threshold(inst, w_star, cb.effective_epsilon)
+    d_exact = int(np.count_nonzero(near))
+    checks = []
+    for rec in cb.per_delta:
+        masks = [1 << f for f in range(n) if inst.contributions[f] <= rec.threshold]
+        members = [z0 ^ sum(c) for size in range(rec.r + 1) for c in itertools.combinations(masks, size)]
+        sigma = binomial_sum(rec.s_size, rec.r)
+        members_ok = len(masks) == rec.s_size and bool(near[members].all())
+        checks.append(DeltaCheck(rec.delta, rec.threshold, rec.s_size, rec.r, sigma, d_exact >= sigma, members_ok))
+    report = VerificationReport(
+        n, inst.num_constraints, cb.epsilon, cb.effective_epsilon, w_star, d_exact, tuple(checks),
+        all(c.count_ok and c.members_ok for c in checks),
+    )
+    return (w_star, z0), count, report
+
+
+class TestBoundTable:
+    """Real weights, and integer totals above 2**53, are answered from the
+    integer table of their quantization, evaluating exactly only the rows its
+    margins leave open; every answer must be the float table's."""
+
+    @staticmethod
+    def _check(inst, epsilons=(0.01, 0.05, 0.3, 1.0)):
+        assert not inst.counted_weights
+        table = assignment_weights(inst)
+        assert table.dtype == np.float64
+        w_star, argmax = brute_force_optimum(inst)
+        for eps in epsilons:
+            for w_bar in (None, 0.6 * inst.total_weight):
+                (want_star, want_z), count, report = _from_float_table(inst, table, eps, w_bar)
+                assert type(w_star) is float and w_star == want_star
+                assert argmax.to_int() == want_z
+                assert verify_counting_bound(inst, eps, w_bar) == report, (eps, w_bar)
+                if w_bar is None:
+                    assert count_near_optimal(inst, eps) == count, eps
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 17, 18, 20, 22])
+    def test_wcnf_and_csp(self, n):
+        # n < 6 takes one partial lane block, n >= 18 the cofactor split
+        self._check(random_wcnf(n, 3 * n + 4, 4, seed=n))
+        self._check(random_csp(n, 2 * n + 3, 4, seed=n))
+
+    def test_ties_at_the_maximum(self):
+        # x10..x12 are in no constraint, so every maximum is tied 8 ways
+        # (16 here) with one satisfied set; with dyadic weights the sums are
+        # exact, and complementary units of equal weight on x10..x12 tie
+        # rows whose satisfied sets differ
+        base = random_wcnf(12, 40, 3, seed=2)
+        free = CspInstance(12, tuple(c for c in base.constraints if max(c.vars) < 10))
+        units = clauses_instance(12, [(v,) for v in (10, 11, 12)] + [(-v,) for v in (10, 11, 12)], [0.375] * 6)
+        dyadic = _reweighted(free, (np.arange(free.num_constraints) % 11 + 1) / 8)
+        for inst in (free, CspInstance(12, units.constraints + dyadic.constraints)):
+            table = assignment_weights(inst)
+            assert np.count_nonzero(table == table.max()) == 16
+            self._check(inst)
+
+    def test_weights_across_seventy_binades(self):
+        # weights from 2**-40 to 2**30: the light ones quantize to nothing
+        base = random_wcnf(14, 50, 4, seed=3)
+        weights = np.exp2(np.random.default_rng(3).uniform(-40, 30, 50)).tolist()
+        inst = _reweighted(base, weights)
+        quantized, _ = inst._quantized
+        assert quantized.num_constraints < inst.num_constraints
+        self._check(inst)
+
+    def test_integer_totals_above_2_53(self):
+        base = random_wcnf(16, 50, 3, seed=4)
+        rng = np.random.default_rng(4)
+        for weights in (
+            [2.0**53] + [1.0] * 49,
+            rng.integers(2**48, 2**51, 50).astype(float).tolist(),
+        ):
+            inst = _reweighted(base, weights)
+            assert inst.integer_weights
+            self._check(inst, (0.01, 0.3))
+
+    def test_dyadic_weights_need_no_quantization_margin(self):
+        # multiples of the quantum quantize exactly, so only the float
+        # rounding margin is left: a margin one quantum narrower either way
+        # misses the maximum or misjudges the rows at the threshold
+        base = random_csp(13, 40, 3, seed=5)
+        inst = _reweighted(base, (np.random.default_rng(5).integers(1, 16, 40) / 8).tolist())
+        bounds = maxcsp.oracle._bounds(inst, 13)
+        assert bounds.above == bounds.below > 0
+        self._check(inst)
+        # one real weight sums without rounding, so its table is the weight in units of u
+        single = CspInstance(3, (Constraint(0.75, (1, 3), 0b0110),))
+        bounds = maxcsp.oracle._bounds(single, 3)
+        assert bounds.above == bounds.below == 0 and bounds.e < 0
+        self._check(single)
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_rows_at_the_threshold(self, dyadic):
+        # thresholds equal to a row's weight count it in, one float step
+        # above leave it out; every distinct weight in the quarter below the
+        # maximum is tried as the threshold
+        base = random_wcnf(12, 36, 3, seed=6)
+        rng = np.random.default_rng(6)
+        weights = rng.integers(1, 16, 36) / 8 if dyadic else rng.uniform(0.1, 10, 36)
+        inst = _reweighted(base, weights.tolist())
+        bounds = maxcsp.oracle._bounds(inst, 12)
+        table = assignment_weights(inst)
+        values = np.unique(table[table >= 0.75 * table.max()])
+        assert len(values) > 20
+        undecided = 0
+        for value in values.tolist():
+            for threshold in (value, math.nextafter(value, math.inf)):
+                near = maxcsp.oracle._near(bounds, threshold)
+                undecided += near.maybe < near.sure
+                rows = np.arange(1 << 12)
+                want = table >= threshold
+                assert maxcsp.oracle._count_near(bounds, near) == np.count_nonzero(want), threshold
+                assert np.array_equal(maxcsp.oracle._is_near(bounds, near, rows), want), threshold
+        assert undecided == 2 * len(values)
+
+    def test_threshold_on_a_row_through_verify(self):
+        # an eps whose threshold w* - eps*w - tolerance lands exactly on a
+        # row's weight, found by stepping eps one float at a time
+        inst = _reweighted(random_wcnf(11, 30, 3, seed=7), (np.arange(30) % 13 + 3) / 4)
+        table = assignment_weights(inst)
+        w_star, w = float(table.max()), inst.total_weight
+        hits = 0
+        for value in np.unique(table[table >= 0.8 * w_star]).tolist()[:-1]:
+            eps = (w_star - value - maxcsp.oracle._threshold_tolerance(inst)) / w
+            for _ in range(64):
+                theta = maxcsp.oracle._threshold(inst, w_star, eps)
+                if theta == value:
+                    break
+                eps = math.nextafter(eps, math.inf if theta > value else 0.0)
+            if theta == value and 0 < eps <= 1:
+                hits += 1
+                self._check(inst, (eps,))
+        assert hits >= 5
+
+    def test_few_rows_are_evaluated(self, monkeypatch):
+        # the point of the bound table: at n=18 with 60 real-weight clauses
+        # only a few percent of the rows need their float weight (at most
+        # 13,306 of 262,144 here)
+        evaluated = []
+
+        def counting(inst, bits, out=None):
+            evaluated.append(len(bits))
+            return weight_of_batch(inst, bits, out)
+
+        monkeypatch.setattr(maxcsp.oracle, "weight_of_batch", counting)
+        for seed in range(3):
+            inst = random_wcnf(18, 60, 4, seed=seed)
+            for eps in (0.01, 0.05, 0.3):
+                evaluated.clear()
+                verify_counting_bound(inst, eps)
+                assert sum(evaluated) < (1 << 18) // 8, (seed, eps, sum(evaluated))
+
+    def test_counted_weights_evaluate_nothing(self, monkeypatch):
+        # counted weights are their own quantization with no margin: the
+        # table decides every row
+        monkeypatch.setattr(maxcsp.oracle, "weight_of_batch", None)
+        inst = random_ekcnf(18, 80, 3, seed=1)
+        assert inst._quantized == (inst, 0)
+        report = verify_counting_bound(inst, 0.05)
+        assert report.d_exact == count_near_optimal(inst, 0.05) > 0
+
+    def test_verify_memory(self):
+        # a real-weight verify holds the integer table (2 bytes a row here)
+        # and the kernel's peak over one chunk, never a float64 table or a
+        # byte per row
+        n, chunk = 20, maxcsp.oracle._CHUNK
+        inst = random_wcnf(n, 66, 4, seed=1)
+        quantized, _ = inst._quantized
+        peaks = []
+        for build in (
+            lambda: _lane_counts(quantized, enumeration_lanes(0, chunk, n), chunk),
+            lambda: verify_counting_bound(inst, 0.05),
+        ):
+            vars(_held).clear()  # this thread's kernel stack
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        kernel, verify = peaks
+        itemsize = np.min_scalar_type(int(quantized.total_weight)).itemsize
+        assert itemsize == 2
+        assert verify < itemsize * (1 << n) + kernel, (kernel, verify)
 
 
 class TestVerifyEntropyScaling:

@@ -26,7 +26,7 @@ from maxcsp import (
 import maxcsp.sampler as sampler
 from helpers import clauses_instance
 from maxcsp.instance import _held
-from maxcsp.oracle import _near_optimal
+from maxcsp.oracle import _threshold
 from maxcsp.rng import assignment_bits
 
 
@@ -509,6 +509,6 @@ class TestExactRateAudit:
             res = solve(inst, SamplerConfig(epsilon=eps, seed=s, max_iterations=budget))
             assert res.iterations_used == budget and res.clamped
             best[s] = res.best_weight
-        misses = runs - int(np.count_nonzero(_near_optimal(inst, best, w_star, eps)))
+        misses = runs - int(np.count_nonzero(best >= _threshold(inst, w_star, eps)))
         z = (misses - runs * q) / math.sqrt(runs * q * (1 - q))
         assert abs(z) <= 4, (misses, runs * q, z)
