@@ -22,6 +22,13 @@ Conventions used throughout the package:
   (``_STACK_BYTES``): the count column-sums each by an adder tree inside
   it, and the float sum unpacks it in slices of that budget, so numpy calls
   are few and large at any row count.
+* ``CspInstance._quantized(e)`` floors every weight to a multiple of a
+  power of two u = 2**e, in units of u, a counted instance, and bounds
+  each row's float weight by its count with exact margins
+  (``_Quantization``). It is built on first use and cached per instance
+  and per e. The oracle reads it to decide most rows of its tables, at its
+  own u, and the sampler to evaluate in float only the rows that can be
+  prefix maxima, at its own.
 * Each thread keeps the kernel's constraint stack and reuses it in its next
   call (``_stack_buffer``), so a run of small calls does not make the
   allocator grow and trim the heap every time. A thread keeps at most
@@ -35,6 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -44,14 +52,6 @@ from .errors import DimensionError, DomainError, FormatError, UnsupportedError, 
 from .rng import pack_lanes, unpack_bits
 
 MAX_ARITY = 20
-# bits of the average weight of a real-weight instance in the units of its
-# quantization (``CspInstance._quantized``). Fewer bits make the oracle's
-# integer table cheaper and leave more rows for it to evaluate in float: on
-# the oracle_verify WCNF shape (n=18, m=60, eps 0.05; 2 cores, medians over
-# 6 instances) a warm counting_bound plus verify took 3.7, 3.1, 3.5, 3.6,
-# 4.2 and 5.3 ms at 3, 4, 5, 6, 8 and 12 bits, and at n=20, m=66 7.3, 6.9
-# and 7.1 ms at 3, 4 and 5
-_QUANTUM_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -242,25 +242,67 @@ class CspInstance:
         return (CspInstance(low, inner) if inner else None), tuple(quarters)
 
     @cached_property
-    def _quantized(self) -> tuple["CspInstance", int]:
-        """(instance, e): the weights floored to multiples of u = 2**e, in units of u.
+    def _quantizations(self) -> dict[int, "_Quantization"]:
+        return {}
 
-        Constraint c keeps the counted weight floor(w_c / u) and is dropped
-        where that is 0. u is the power of two that puts the average weight
-        between 2**_QUANTUM_BITS and twice that many units, so the heaviest
-        constraint keeps a weight of at least 1. Counted weights are their
-        own quantization, e = 0. For the oracle's bound tables.
-        """
-        if self.counted_weights:
-            return self, 0
-        e = math.frexp(self.total_weight / self.num_constraints)[1] - 1 - _QUANTUM_BITS
-        kept = []
-        for c in self.constraints:
-            # scaling by a power of two is exact wherever the result is at least 1
-            units = math.floor(math.ldexp(c.weight, -e))
-            if units:
-                kept.append(Constraint(float(units), c.vars, c.truth_table))
-        return CspInstance(self.num_vars, tuple(kept)), e
+    def _quantized(self, e: int) -> "_Quantization":
+        """This instance with its weights floored to multiples of about 2**e (``_quantize``), cached per e."""
+        found = self._quantizations.get(e)
+        if found is None:
+            found = self._quantizations[e] = _quantize(self, e)
+        return found
+
+
+class _Quantization(NamedTuple):
+    """A counted instance whose integer weights bracket the float weight of every row.
+
+    ``inst`` keeps each constraint with the weight floor(w_c / u), in units
+    of u = 2**e, and drops it where that is 0. A row x with quantized total
+    Q(x) weighs ``weight_of(x)`` in [u*Q(x) - below, u*Q(x) + above].
+    """
+
+    inst: "CspInstance"
+    e: int
+    below: Fraction
+    above: Fraction
+
+
+def _quantize(inst: CspInstance, e: int) -> _Quantization:
+    """``inst`` with its weights floored to multiples of u = 2**e, and the margins of every row.
+
+    e is raised as far as needed to keep the quantized total within 2**53,
+    so the kernel counts it exactly, and lowered as far as needed to keep
+    the heaviest constraint at least 1 unit. Write E(x) for the exact sum
+    of the weights x satisfies and F(x) for ``weight_of(x)``, their float
+    sum in constraint order. Each floored weight is below its weight by less
+    than u, so 0 <= E(x) - u*Q(x) <= R, the sum of those shortfalls over all
+    constraints: R = W - u*Q_total < u*m, with W the exact sum of the
+    weights. A recursive float sum of k positive terms is within gamma_{k-1}
+    = (k-1)*2**-53 / (1 - (k-1)*2**-53) of their exact sum, relative to it,
+    so |F(x) - E(x)| <= g = gamma_{m-1}*W. Hence below = g and above = R +
+    g, both exact fractions. Counted weights are their own quantization at
+    every e: u = 1 and both margins 0, with no fraction computed.
+    """
+    if inst.counted_weights:
+        return _Quantization(inst, 0, Fraction(0), Fraction(0))
+    # W < 2**52 * u, and the exact sum is within a rounding of W; u <= the heaviest weight
+    heaviest = max(c.weight for c in inst.constraints)
+    e = min(max(e, math.frexp(inst.total_weight)[1] - 52), math.frexp(heaviest)[1] - 1)
+    kept = []
+    for c in inst.constraints:
+        # scaling by a power of two is exact wherever the result is at least 1
+        units = math.floor(math.ldexp(c.weight, -e))
+        if units:
+            kept.append(Constraint(float(units), c.vars, c.truth_table))
+    quantized = CspInstance(inst.num_vars, tuple(kept))
+    # the exact sum of the weights, each p/2**k, over their largest 2**k
+    ratios = [c.weight.as_integer_ratio() for c in inst.constraints]
+    scale = max(den for _, den in ratios)
+    exact = Fraction(sum(num * (scale // den) for num, den in ratios), scale)
+    k = inst.num_constraints - 1
+    below = Fraction(k, 2**53 - k) * exact
+    above = exact - Fraction(2) ** e * int(quantized.total_weight) + below
+    return _Quantization(quantized, e, below, above)
 
 
 def _restrict(c: Constraint, fixed: Mapping[int, int]) -> Constraint | bool:

@@ -33,10 +33,10 @@ order, because their float sums depend on it.
 
 The optimum and the near-optimal counts do not read that float table. They
 read the integer table of the instance's quantization
-(``CspInstance._quantized``): each weight floored to a multiple of a power
-of two u, in units of u, a counted instance whose table is built as above.
-A row x with quantized total Q(x) has a float weight F(x) = ``weight_of(x)``
-with
+(``CspInstance._quantized``, at ``_QUANTUM_BITS`` of the average weight):
+each weight floored to a multiple of a power of two u, in units of u, a
+counted instance whose table is built as above. A row x with quantized
+total Q(x) has a float weight F(x) = ``weight_of(x)`` with
 
     u*Q(x) - g <= F(x) <= u*Q(x) + R + g,
 
@@ -83,6 +83,14 @@ from .instance import Assignment, CspInstance, _lane_counts, weight_of_batch, we
 from .rng import enumeration_lanes, unpack_bits
 
 ORACLE_CAP = 24
+# bits of the average weight of a real-weight instance in the units of its
+# quantization (``CspInstance._quantized``). Fewer bits make the integer
+# table cheaper and leave more rows to evaluate in float: on the
+# oracle_verify WCNF shape (n=18, m=60, eps 0.05; 2 cores, medians over 6
+# instances) a warm counting_bound plus verify took 3.7, 3.1, 3.5, 3.6, 4.2
+# and 5.3 ms at 3, 4, 5, 6, 8 and 12 bits, and at n=20, m=66 7.3, 6.9 and
+# 7.1 ms at 3, 4 and 5
+_QUANTUM_BITS = 4
 # a multiple of 64, so every chunk starts at a lane-word boundary
 _CHUNK = 1 << 16
 
@@ -204,30 +212,15 @@ class _Bounds(NamedTuple):
     above: Fraction
 
 
-def _bounds(inst: CspInstance, cap: int) -> _Bounds:
-    """The bound table of ``inst``, with margins that hold for every row.
+def _quantum_exponent(inst: CspInstance) -> int:
+    """log2 of the oracle's quantum u: the average weight is 2**_QUANTUM_BITS to twice that many units."""
+    return math.frexp(inst.total_weight / inst.num_constraints)[1] - 1 - _QUANTUM_BITS
 
-    Write E(x) for the exact sum of the weights x satisfies and F(x) for
-    ``weight_of(x)``, their float sum in constraint order. Each floored
-    weight is below its weight by less than u, so 0 <= E(x) - u*Q(x) <= R,
-    the sum of those shortfalls over all constraints: R = W - u*Q_total,
-    with W the exact sum of the weights. A recursive float sum of k
-    positive terms is within gamma_{k-1} = (k-1)*2**-53 / (1 - (k-1)*2**-53)
-    of their exact sum, relative to it, so |F(x) - E(x)| <= gamma_{m-1}*W.
-    Hence below = gamma_{m-1}*W and above = R + gamma_{m-1}*W, both exact
-    fractions. Counted weights are their own quantization: u = 1, R = 0
-    and exact sums, so both margins are 0 and the table is the weight.
-    """
-    quantized, e = inst._quantized
-    table = assignment_weights(quantized, cap)
-    # the exact sum of the weights, each p/2**k, over their largest 2**k
-    ratios = [c.weight.as_integer_ratio() for c in inst.constraints]
-    scale = max(den for _, den in ratios)
-    exact = Fraction(sum(num * (scale // den) for num, den in ratios), scale)
-    k = 0 if inst.counted_weights else inst.num_constraints - 1
-    below = Fraction(k, 2**53 - k) * exact
-    above = exact - Fraction(2) ** e * int(quantized.total_weight) + below
-    return _Bounds(inst, table, e, below, above)
+
+def _bounds(inst: CspInstance, cap: int) -> _Bounds:
+    """The bound table of ``inst``: the counted table of its quantization (``CspInstance._quantized``)."""
+    quantized, e, below, above = inst._quantized(_quantum_exponent(inst))
+    return _Bounds(inst, assignment_weights(quantized, cap), e, below, above)
 
 
 def _weights(bounds: _Bounds, rows: np.ndarray) -> np.ndarray:

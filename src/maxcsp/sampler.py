@@ -14,6 +14,19 @@ of a multiple of 64 samples, so every chunk starts on a block of lane words
 matrix fits in 2**24 bytes, with rows clamped to [64, 65,536] (65,536 up to
 n = 256, 16,768 at n = 1000), so the working set stays bounded as n grows. A
 budget smaller than one such chunk per worker is shared out evenly instead.
+
+A chunk needs only its strict prefix maxima, not every weight. Counted
+weights (``CspInstance.counted_weights``) are counted exactly and scanned
+as they are. Any other weights are counted exactly in the units of their
+quantization (``CspInstance._quantized``): row x has a count Q(x) and a
+float weight within [u*Q(x) - below, u*Q(x) + above]. A row whose Q plus
+the slack ceil((above + below) / u) does not exceed an earlier row's Q
+weighs no more than that row, so it cannot be a strict prefix maximum, and
+only the other rows, the candidates, are evaluated in float. Their exact
+weights give the same events, bit for bit. The quantum u keeps the slack
+near the spread of the sample weights (``_quantum_exponent``), and a chunk
+whose candidates are more than an eighth of it is evaluated wholly in
+float, as are the chunks that start after it.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -31,6 +45,7 @@ from .errors import BudgetOverflowError, DomainError, UnsupportedError, _integer
 from .instance import (
     Assignment,
     CspInstance,
+    _Quantization,
     clause_length_histogram,
     ksat_optimum_lower_bound,
     weight_of_batch,
@@ -118,13 +133,71 @@ def iteration_budget(inst: CspInstance, cfg: SamplerConfig) -> int:
     return _budget(inst.num_vars, cb.log2_count, cfg)[0]
 
 
-def _scan_chunk(inst: CspInstance, seed: int, start: int, count: int) -> list[tuple[int, float]]:
-    """Strict prefix maxima (index, weight) of samples [start, start + count), in index order."""
-    weights = weight_of_batch(inst, assignment_bits(seed, start, count, inst.num_vars))
+def _quantum_exponent(inst: CspInstance) -> int:
+    """log2 of the sampler's quantum u: the largest power of two with m*u/2 <= sigma.
+
+    sigma**2 = sum_c w_c**2 * p_c * (1 - p_c), with p_c the share of the
+    rows of c's table that satisfy it, is the variance of a uniform sample's
+    weight were the constraints independent. Flooring takes about u/2 off
+    each weight, so m*u/2 is about the slack in weight, which this keeps
+    near one sigma of the sample weights as m, the clause lengths and the
+    weights vary. An instance of constant constraints (sigma 0) weighs the
+    same on every row, so any u serves it.
+    """
+    mean = inst.total_weight / inst.num_constraints
+    variance = 0.0
+    for c in inst.constraints:
+        p = c.truth_table.bit_count() / (1 << c.arity)
+        variance += (c.weight / mean) ** 2 * p * (1 - p)
+    return math.frexp(2 * mean * math.sqrt(variance) / inst.num_constraints)[1] - 1
+
+
+def _slack(quantization: _Quantization) -> int:
+    """The least integer s for which Q_i + s <= Q_j implies that row i weighs at most row j.
+
+    Row x weighs F(x) within [u*Q(x) - below, u*Q(x) + above]. If Q_i + s <=
+    Q_j with s >= (above + below) / u, then F_i <= u*Q_i + above <= u*Q_j -
+    below <= F_j.
+    """
+    _, e, below, above = quantization
+    return math.ceil((above + below) / Fraction(2) ** e)
+
+
+def _scan_chunk(
+    inst: CspInstance, route: list[tuple[CspInstance, int]], seed: int, start: int, count: int
+) -> list[tuple[int, float]]:
+    """Strict prefix maxima (index, weight) of samples [start, start + count), in index order.
+
+    ``route[0]`` is (counted, slack): ``inst``'s quantization
+    (``CspInstance._quantized``) and its ``_slack``, or ``inst`` itself and
+    0, whose count is the weight. A row can rise above every earlier row
+    only if its count plus the slack does, so only those rows are evaluated
+    in float. If they are more than an eighth of the chunk, every row is,
+    and the chunks that start later count with ``inst`` itself.
+    """
+    counted, slack = route[0]
+    bits = assignment_bits(seed, start, count, inst.num_vars)
+    weights = weight_of_batch(counted, bits)
+    if counted is not inst:
+        rows = _candidates(weights, slack)
+        if 8 * len(rows) > count:
+            # a copy of more than an eighth of the chunk's bits would add more
+            # memory than the kernel's lanes of all of them, and time, so every
+            # row is evaluated, the row list freed first; a chunk like this is
+            # likely followed by more, so they skip the count
+            del rows
+            weight_of_batch(inst, bits, out=weights)
+            route[0] = (inst, 0)
+        else:
+            weights.fill(-math.inf)
+            # the rows of a Fortran-order matrix are gathered fastest as columns of its transpose
+            weights[rows] = weight_of_batch(inst, bits.T.take(rows, axis=1).T)
+    # freed before the scan allocates: held through it, the bits made a
+    # desk-scale solve grow and trim the heap on every call (112 minor faults)
+    del bits
     # a row rises above every earlier row only inside a 64-row block whose
     # maximum rises above every earlier block's, so only those blocks are scanned
-    peaks = np.maximum.reduceat(weights, np.arange(0, count, 64))
-    floors = np.maximum.accumulate(np.concatenate(([-math.inf], peaks[:-1])))
+    peaks, floors = _block_peaks(weights)
     events = []
     for b in np.flatnonzero(peaks > floors).tolist():
         best = float(floors[b])
@@ -133,6 +206,28 @@ def _scan_chunk(inst: CspInstance, seed: int, start: int, count: int) -> list[tu
                 events.append((i, w))
                 best = w
     return events
+
+
+def _block_peaks(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum of each 64-row block, and the maximum of all blocks before it (-inf for the first)."""
+    peaks = np.maximum.reduceat(weights, np.arange(0, len(weights), 64))
+    return peaks, np.maximum.accumulate(np.concatenate(([-math.inf], peaks[:-1])))
+
+
+def _candidates(counts: np.ndarray, slack: int) -> np.ndarray:
+    """The rows whose count plus ``slack`` exceeds every earlier row's count, in order.
+
+    Only the 64-row blocks whose peak plus ``slack`` exceeds every earlier
+    block's peak can hold one; each row of those is compared with the larger
+    of the earlier blocks' peak and the rows before it in its block.
+    """
+    peaks, floors = _block_peaks(counts)
+    blocks = np.flatnonzero(peaks + slack > floors)
+    rows = 64 * blocks[:, None] + np.arange(64)
+    block = counts[np.minimum(rows, len(counts) - 1)]
+    block[rows >= len(counts)] = -math.inf
+    before = np.maximum.accumulate(np.column_stack((floors[blocks], block[:, :-1])), axis=1)
+    return rows[block + slack > before]
 
 
 def solve(
@@ -159,7 +254,13 @@ def solve(
     workers = min(cfg.parallelism, blocks, os.cpu_count() or 1)
     cap = min(1024, max(1, _CHUNK_BYTES // (64 * inst.num_vars)))
     rows = 64 * min(-(-blocks // workers), cap)
-    scan = lambda start: _scan_chunk(inst, cfg.seed, start, min(rows, budget - start))
+    # what each chunk counts, and its slack; one chunk writes and the rest read it (_scan_chunk)
+    if inst.counted_weights:
+        route = [(inst, 0)]
+    else:
+        quantization = inst._quantized(_quantum_exponent(inst))
+        route = [(quantization.inst, _slack(quantization))]
+    scan = lambda start: _scan_chunk(inst, route, cfg.seed, start, min(rows, budget - start))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(scan, range(0, budget, rows)))

@@ -1,7 +1,7 @@
 """Instance builders shared by the test modules; a plain module, so it
 imports the same way whichever test directories one pytest run collects."""
 
-from maxcsp import CspInstance, clause_from_literals
+from maxcsp import Constraint, CspInstance, clause_from_literals
 
 
 def clauses_instance(num_vars, literal_lists, weights=None, clause_built=True):
@@ -12,3 +12,12 @@ def clauses_instance(num_vars, literal_lists, weights=None, clause_built=True):
         clause_from_literals(lits, w) for lits, w in zip(literal_lists, weights)
     )
     return CspInstance(num_vars, constraints, clause_built=clause_built)
+
+
+def reweighted(inst, weights):
+    """``inst`` with constraint i given weights[i]."""
+    return CspInstance(
+        inst.num_vars,
+        tuple(Constraint(w, c.vars, c.truth_table) for w, c in zip(weights, inst.constraints)),
+        clause_built=inst.clause_built,
+    )

@@ -30,7 +30,7 @@ from maxcsp.oracle import DeltaCheck, VerificationReport
 from maxcsp.instance import _STACK_BYTES, _held, _lane_counts, weight_of_lanes
 from maxcsp.rng import enumeration_lanes, unpack_bits
 
-from helpers import clauses_instance
+from helpers import clauses_instance, reweighted
 
 
 class TestBruteForce:
@@ -469,14 +469,6 @@ class TestVerifyCountingBound:
             verify_counting_bound(inst, 0.5, cap=10)
 
 
-def _reweighted(inst, weights):
-    return CspInstance(
-        inst.num_vars,
-        tuple(Constraint(w, c.vars, c.truth_table) for w, c in zip(weights, inst.constraints)),
-        clause_built=inst.clause_built,
-    )
-
-
 def _lex_first(rows, n):
     # (x1, ..., xn) in lexicographic order is the packed index with its n bits reversed
     key = sum(((rows >> f) & 1) << (n - 1 - f) for f in range(n))
@@ -540,7 +532,7 @@ class TestBoundTable:
         base = random_wcnf(12, 40, 3, seed=2)
         free = CspInstance(12, tuple(c for c in base.constraints if max(c.vars) < 10))
         units = clauses_instance(12, [(v,) for v in (10, 11, 12)] + [(-v,) for v in (10, 11, 12)], [0.375] * 6)
-        dyadic = _reweighted(free, (np.arange(free.num_constraints) % 11 + 1) / 8)
+        dyadic = reweighted(free, (np.arange(free.num_constraints) % 11 + 1) / 8)
         for inst in (free, CspInstance(12, units.constraints + dyadic.constraints)):
             table = assignment_weights(inst)
             assert np.count_nonzero(table == table.max()) == 16
@@ -550,8 +542,8 @@ class TestBoundTable:
         # weights from 2**-40 to 2**30: the light ones quantize to nothing
         base = random_wcnf(14, 50, 4, seed=3)
         weights = np.exp2(np.random.default_rng(3).uniform(-40, 30, 50)).tolist()
-        inst = _reweighted(base, weights)
-        quantized, _ = inst._quantized
+        inst = reweighted(base, weights)
+        quantized = inst._quantized(maxcsp.oracle._quantum_exponent(inst)).inst
         assert quantized.num_constraints < inst.num_constraints
         self._check(inst)
 
@@ -562,7 +554,7 @@ class TestBoundTable:
             [2.0**53] + [1.0] * 49,
             rng.integers(2**48, 2**51, 50).astype(float).tolist(),
         ):
-            inst = _reweighted(base, weights)
+            inst = reweighted(base, weights)
             assert inst.integer_weights
             self._check(inst, (0.01, 0.3))
 
@@ -571,7 +563,7 @@ class TestBoundTable:
         # rounding margin is left: a margin one quantum narrower either way
         # misses the maximum or misjudges the rows at the threshold
         base = random_csp(13, 40, 3, seed=5)
-        inst = _reweighted(base, (np.random.default_rng(5).integers(1, 16, 40) / 8).tolist())
+        inst = reweighted(base, (np.random.default_rng(5).integers(1, 16, 40) / 8).tolist())
         bounds = maxcsp.oracle._bounds(inst, 13)
         assert bounds.above == bounds.below > 0
         self._check(inst)
@@ -589,7 +581,7 @@ class TestBoundTable:
         base = random_wcnf(12, 36, 3, seed=6)
         rng = np.random.default_rng(6)
         weights = rng.integers(1, 16, 36) / 8 if dyadic else rng.uniform(0.1, 10, 36)
-        inst = _reweighted(base, weights.tolist())
+        inst = reweighted(base, weights.tolist())
         bounds = maxcsp.oracle._bounds(inst, 12)
         table = assignment_weights(inst)
         values = np.unique(table[table >= 0.75 * table.max()])
@@ -608,7 +600,7 @@ class TestBoundTable:
     def test_threshold_on_a_row_through_verify(self):
         # an eps whose threshold w* - eps*w - tolerance lands exactly on a
         # row's weight, found by stepping eps one float at a time
-        inst = _reweighted(random_wcnf(11, 30, 3, seed=7), (np.arange(30) % 13 + 3) / 4)
+        inst = reweighted(random_wcnf(11, 30, 3, seed=7), (np.arange(30) % 13 + 3) / 4)
         table = assignment_weights(inst)
         w_star, w = float(table.max()), inst.total_weight
         hits = 0
@@ -647,7 +639,7 @@ class TestBoundTable:
         # table decides every row
         monkeypatch.setattr(maxcsp.oracle, "weight_of_batch", None)
         inst = random_ekcnf(18, 80, 3, seed=1)
-        assert inst._quantized == (inst, 0)
+        assert inst._quantized(maxcsp.oracle._quantum_exponent(inst)) == (inst, 0, 0, 0)
         report = verify_counting_bound(inst, 0.05)
         assert report.d_exact == count_near_optimal(inst, 0.05) > 0
 
@@ -657,7 +649,7 @@ class TestBoundTable:
         # byte per row
         n, chunk = 20, maxcsp.oracle._CHUNK
         inst = random_wcnf(n, 66, 4, seed=1)
-        quantized, _ = inst._quantized
+        quantized = inst._quantized(maxcsp.oracle._quantum_exponent(inst)).inst
         peaks = []
         for build in (
             lambda: _lane_counts(quantized, enumeration_lanes(0, chunk, n), chunk),

@@ -1,20 +1,28 @@
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxcsp import (
+    Assignment,
     BudgetOverflowError,
+    Constraint,
+    CspInstance,
     DomainError,
     SamplerConfig,
     UnsupportedError,
     brute_force_optimum,
+    clause_from_literals,
     count_near_optimal,
     counting_bound,
     iteration_budget,
+    random_csp,
     random_ekcnf,
     random_wcnf,
     solve,
@@ -24,7 +32,7 @@ from maxcsp import (
 )
 
 import maxcsp.sampler as sampler
-from helpers import clauses_instance
+from helpers import clauses_instance, reweighted
 from maxcsp.instance import _held
 from maxcsp.oracle import _threshold
 from maxcsp.rng import assignment_bits
@@ -427,6 +435,156 @@ class TestSolve:
         inst = random_ekcnf(8, 20, 3, seed=2)
         with pytest.raises(DomainError):
             solve(inst, SamplerConfig(epsilon=0.4, w_bar=inst.total_weight + 1))
+
+
+def _prefix_maxima(weights):
+    """(row, weight) of the strict prefix maxima of ``weights``."""
+    events, best = [], -math.inf
+    for i, w in enumerate(weights.tolist()):
+        if w > best:
+            events.append((i, w))
+            best = w
+    return events
+
+
+def _float_scan(inst, seed, budget):
+    """solve's trace events by definition: the strict prefix maxima of every sample's float weight."""
+    return _prefix_maxima(weight_of_batch(inst, assignment_bits(seed, 0, budget, inst.num_vars)))
+
+
+def _traced_solve(inst, cfg):
+    events = []
+    res = solve(inst, cfg, trace=lambda i, w: events.append((i, w)))
+    return res, events
+
+
+def _heavy_and_light():
+    """The sample_wcnf_wide shape (n=1000, m=1500, weights in [0.1, 10)) plus two length-5 clauses of weight 10**6."""
+    base = random_wcnf(1000, 1500, 5, seed=1)
+    heavy = (clause_from_literals((1, -2, 3, 4, -5), 1e6), clause_from_literals((-6, 7, 8, -9, 10), 1e6))
+    return CspInstance(1000, base.constraints + heavy, clause_built=True)
+
+
+def _light_weights_decide():
+    """Two clauses of weight 10**6 and 64 of weight near 1 at n=20: the light ones quantize to nothing."""
+    weights = [1e6, 1e6] + np.random.default_rng(1).uniform(0.9, 1.1, 64).tolist()
+    return reweighted(random_wcnf(20, 66, 3, seed=1), weights)
+
+
+class TestQuantizedScan:
+    """Real weights are sampled through the exact count of a quantization, and only candidate rows in float.
+
+    Every output must equal the strict prefix maxima of the float weight of
+    every row: the candidate rule may only spare rows that cannot be one.
+    """
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            random_wcnf(24, 80, 4, seed=1),
+            random_csp(20, 60, 4, seed=2),
+            # integer weights whose total is above 2**53: not counted, so quantized
+            reweighted(
+                random_wcnf(24, 60, 3, seed=4), np.random.default_rng(4).integers(2**48, 2**51, 60).astype(float)
+            ),
+            # one dyadic weight: both margins are 0, and the count is still in units of u
+            CspInstance(9, (Constraint(0.5, (1, 3), 0b0110),)),
+            _light_weights_decide(),
+        ],
+        ids=["wcnf", "csp", "integer_above_2_53", "one_dyadic_weight", "light_weights_decide"],
+    )
+    def test_matches_a_float_scan_of_every_row(self, monkeypatch, inst):
+        assert not inst.counted_weights
+        # the ranges are cut three ways even on a host with fewer cores
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        reference = None
+        for rows in (None, 64, 640):
+            if rows is not None:
+                monkeypatch.setattr(sampler, "_CHUNK_BYTES", rows * inst.num_vars)
+            for workers in (1, 3):
+                cfg = SamplerConfig(epsilon=0.01, seed=5, max_iterations=3000, parallelism=workers)
+                res, events = _traced_solve(inst, cfg)
+                if reference is None:
+                    reference = _float_scan(inst, 5, res.iterations_used)
+                assert events == reference, (rows, workers)
+                best, weight = reference[-1]
+                assert res.best_weight == weight
+                assert res.best_assignment == Assignment(assignment_bits(5, best, 1, inst.num_vars)[0])
+
+    @given(
+        n=st.integers(2, 10),
+        m=st.integers(1, 30),
+        bits=st.integers(1, 8),
+        binades=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.integers(0, 100),
+        count=st.integers(1, 700),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_candidates_keep_every_prefix_maximum(self, n, m, bits, binades, seed, block, count):
+        # at 1-8 bits of the average weight, over weights spread across up
+        # to 40 binades, every strict prefix maximum of a chunk's float
+        # weights is a candidate
+        rng = np.random.default_rng(seed)
+        inst = reweighted(random_wcnf(n, m, min(n, 4), seed=seed), np.exp2(rng.uniform(-binades, 0, m)))
+        e = math.frexp(inst.total_weight / m)[1] - 1 - bits
+        quantization = inst._quantized(e)
+        matrix = assignment_bits(seed, 64 * block, count, n)
+        candidates = sampler._candidates(weight_of_batch(quantization.inst, matrix), sampler._slack(quantization))
+        assert np.all(np.diff(candidates) > 0)
+        maxima = [i for i, _ in _prefix_maxima(weight_of_batch(inst, matrix))]
+        assert set(maxima) <= set(candidates.tolist())
+
+    def test_heavy_and_light(self, monkeypatch):
+        # the light clauses floor to nothing next to the heavy ones, so most
+        # rows are candidates and the chunk is evaluated wholly in float
+        inst, samples = _heavy_and_light(), 16_384
+        cfg = SamplerConfig(epsilon=0.01, seed=0, max_iterations=samples)
+        rows = []
+
+        def counting(inst, bits, *args, **kwargs):
+            rows.append(len(bits))
+            return weight_of_batch(inst, bits, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "weight_of_batch", counting)
+        vars(_held).clear()
+        tracemalloc.start()
+        try:
+            res, events = _traced_solve(inst, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == [samples, samples]
+        assert peak < 1.4 * inst.num_vars * samples
+        assert events == _float_scan(inst, 0, samples)
+        assert res.best_weight == events[-1][1]
+
+    def test_a_chunk_of_candidates_sends_the_later_chunks_to_float(self, monkeypatch):
+        # 100 chunks of 64 rows on eight threads switching every microsecond:
+        # whichever chunk finds the count wasted first, the events stay the same
+        inst = _light_weights_decide()
+        counted = []
+
+        def counting(inst, bits, *args, **kwargs):
+            counted.append(inst.counted_weights)
+            return weight_of_batch(inst, bits, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "weight_of_batch", counting)
+        monkeypatch.setattr(sampler, "_CHUNK_BYTES", 64 * inst.num_vars)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        reference = _float_scan(inst, 2, 6400)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                counted.clear()
+                cfg = SamplerConfig(epsilon=0.01, seed=2, max_iterations=6400, parallelism=workers)
+                assert _traced_solve(inst, cfg)[1] == reference
+                # each counted chunk is evaluated again in float; the others only in float
+                assert len(counted) == 100 + counted.count(True)
+                assert 1 <= counted.count(True) <= workers
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSolveKsat:
