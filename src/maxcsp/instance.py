@@ -24,11 +24,12 @@ Conventions used throughout the package:
   are few and large at any row count.
 * ``CspInstance._quantized(e)`` floors every weight to a multiple of a
   power of two u = 2**e, in units of u, a counted instance, and bounds
-  each row's float weight by its count with exact margins
-  (``_Quantization``). It is built on first use and cached per instance
-  and per e. The oracle reads it to decide most rows of its tables, at its
-  own u, and the sampler to evaluate in float only the rows that can be
-  prefix maxima, at its own.
+  each row's float weight by its count with exact margins, from which
+  it alone derives the ``slack`` and the threshold ``window`` that decide
+  rows by count (``_Quantization``). It is built on first use and cached
+  per instance and per e. The oracle reads it to decide most rows of its
+  tables, at its own u, and the sampler to evaluate in float only the rows
+  that can be prefix maxima, at its own.
 * Each thread keeps the kernel's constraint stack and reuses it in its next
   call (``_stack_buffer``), so a run of small calls does not make the
   allocator grow and trim the heap every time. A thread keeps at most
@@ -119,7 +120,9 @@ class Assignment:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        # integers and bools pass; a float or a string is a DomainError, never a truncated bit
+        bits = tuple(int(b) if isinstance(b, (bool, np.bool_)) else _integer("assignment bit", b) for b in self.bits)
+        object.__setattr__(self, "bits", bits)
         if not self.bits:
             raise DomainError("assignment must have at least one bit")
         if any(b not in (0, 1) for b in self.bits):
@@ -135,7 +138,10 @@ class Assignment:
 
     @classmethod
     def from_string(cls, text: str) -> "Assignment":
-        return cls(tuple(int(c) for c in text.strip()))
+        text = text.strip()
+        if set(text) - {"0", "1"}:
+            raise DomainError(f"assignment string must consist of '0'/'1' characters, got {text!r}")
+        return cls(tuple(c == "1" for c in text))
 
     def to_int(self) -> int:
         v = 0
@@ -258,17 +264,32 @@ class _Quantization(NamedTuple):
 
     ``inst`` keeps each constraint with the weight floor(w_c / u), in units
     of u = 2**e, and drops it where that is 0. A row x with quantized total
-    Q(x) weighs ``weight_of(x)`` in [u*Q(x) - below, u*Q(x) + above].
+    Q(x) weighs F(x) = ``weight_of(x)`` in [u*Q(x) - below, u*Q(x) + above].
+    ``slack``, ceil((above + below) / u), is the least integer s for which
+    Q(x) + s <= Q(y) implies F(x) <= u*Q(x) + above <= u*Q(y) - below <=
+    F(y); it is 0 exactly when both margins are, and then F(x) = u*Q(x).
     """
 
     inst: "CspInstance"
     e: int
     below: Fraction
     above: Fraction
+    slack: int
+
+    def window(self, threshold: float) -> tuple[int, int]:
+        """(maybe, sure): every row with Q >= sure weighs at least ``threshold``, and none with Q < maybe.
+
+        u*Q - below >= threshold holds exactly when Q >= ceil((threshold +
+        below) / u), and u*Q + above < threshold exactly when Q <
+        ceil((threshold - above) / u). The rows in between are decided by
+        their float weight.
+        """
+        t, u = Fraction(threshold), Fraction(2) ** self.e
+        return math.ceil((t - self.above) / u), math.ceil((t + self.below) / u)
 
 
 def _quantize(inst: CspInstance, e: int) -> _Quantization:
-    """``inst`` with its weights floored to multiples of u = 2**e, and the margins of every row.
+    """``inst`` with its weights floored to multiples of u = 2**e, the margins of every row, and its slack.
 
     e is raised as far as needed to keep the quantized total within 2**53,
     so the kernel counts it exactly, and lowered as far as needed to keep
@@ -281,10 +302,10 @@ def _quantize(inst: CspInstance, e: int) -> _Quantization:
     = (k-1)*2**-53 / (1 - (k-1)*2**-53) of their exact sum, relative to it,
     so |F(x) - E(x)| <= g = gamma_{m-1}*W. Hence below = g and above = R +
     g, both exact fractions. Counted weights are their own quantization at
-    every e: u = 1 and both margins 0, with no fraction computed.
+    every e: u = 1, both margins and the slack 0, with no fraction computed.
     """
     if inst.counted_weights:
-        return _Quantization(inst, 0, Fraction(0), Fraction(0))
+        return _Quantization(inst, 0, Fraction(0), Fraction(0), 0)
     # W < 2**52 * u, and the exact sum is within a rounding of W; u <= the heaviest weight
     heaviest = max(c.weight for c in inst.constraints)
     e = min(max(e, math.frexp(inst.total_weight)[1] - 52), math.frexp(heaviest)[1] - 1)
@@ -301,8 +322,9 @@ def _quantize(inst: CspInstance, e: int) -> _Quantization:
     exact = Fraction(sum(num * (scale // den) for num, den in ratios), scale)
     k = inst.num_constraints - 1
     below = Fraction(k, 2**53 - k) * exact
-    above = exact - Fraction(2) ** e * int(quantized.total_weight) + below
-    return _Quantization(quantized, e, below, above)
+    u = Fraction(2) ** e
+    above = exact - u * int(quantized.total_weight) + below
+    return _Quantization(quantized, e, below, above, math.ceil((above + below) / u))
 
 
 def _restrict(c: Constraint, fixed: Mapping[int, int]) -> Constraint | bool:
@@ -344,8 +366,8 @@ def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> floa
     return total
 
 
-def weight_of_batch(inst: CspInstance, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized weights for a (batch, num_vars) 0/1 matrix, into ``out`` if given.
+def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
+    """Vectorized weights for a (batch, num_vars) 0/1 matrix, as a new float64 array.
 
     Accepts any memory order and any integer or bool dtype holding 0/1
     values; a Fortran-order matrix, as ``rng.assignment_bits`` returns, packs
@@ -361,15 +383,12 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray, out: np.ndarray | None 
       one bit-sliced total, which is unpacked once.
     * Any other weights: ``out += weight * satisfied``, one constraint at a
       time in instance order, which repeats ``weight_of``'s float additions.
-
-    ``out``, a float64 array of shape (batch,), receives the weights and is
-    returned; without it the result is a new array.
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
     if bits.dtype.kind not in "biu":
         raise DomainError(f"bit matrix must have an integer or bool dtype, not {bits.dtype}")
-    return weight_of_lanes(inst, pack_lanes(bits), len(bits), out)
+    return weight_of_lanes(inst, pack_lanes(bits), len(bits))
 
 
 def weight_of_lanes(
@@ -379,14 +398,15 @@ def weight_of_lanes(
 
     Lane word (v, b) holds variable v of items 64b..64b+63, item 64b+i at
     bit i (``rng``: ``assignment_bits`` draws them, ``pack_lanes`` packs a
-    matrix into them); the values and ``out`` are ``weight_of_batch``'s.
+    matrix into them); the values are ``weight_of_batch``'s. ``out``, a
+    float64 array of shape (rows,), such as a chunk of the oracle's table,
+    receives them and is returned; without it the result is a new array.
     Counted weights are ``_lane_counts``, cast; the float sum reads the same
     loop over ``_stacks``.
     """
     if out is None:
+        # before the count's arrays: this order keeps a desk-scale solve from churning the heap
         out = np.empty(rows)
-    elif not isinstance(out, np.ndarray) or out.shape != (rows,) or out.dtype != np.float64:
-        raise DimensionError(f"out must be a float64 array of shape ({rows},)")
     if inst.counted_weights:
         out[...] = _lane_counts(inst, lanes, rows)
         return out

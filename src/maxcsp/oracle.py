@@ -42,16 +42,16 @@ total Q(x) has a float weight F(x) = ``weight_of(x)`` with
 
 where R = W - u*Q_total < u*m is what the flooring took off all m weights
 (W their exact sum) and g = gamma_{m-1}*W bounds the rounding of a float
-sum of at most m positive terms in any order; both are exact fractions.
-So a row whose bounds clear the maximum's, or lie wholly on one side of the
-near-optimal threshold, is decided by Q alone, and only the rows whose
-interval straddles it are evaluated, through ``weight_of_batch``, which
+sum of at most m positive terms in any order. Only the rows within the
+quantization's ``slack`` of the largest Q can be maximizers, and its
+``window`` decides by Q alone the rows on either side of the near-optimal
+threshold; only the rest are evaluated, through ``weight_of_batch``, which
 gives ``weight_of`` exactly. Ties, the lexicographic argmax and rows lying
 exactly on the threshold are thus judged on the same floats as before.
-Counted weights are the same code with u = 1, R = 0 and g = 0: the table
-is the weight and no row is evaluated again. Light weights that floor to
-0 only widen R, so an instance whose light constraints decide the count
-has most rows evaluated, a chunk at a time.
+Counted weights are the same code with u = 1 and slack 0: the table is the
+weight and no row is evaluated again. Light weights that floor to 0 only
+widen R, so an instance whose light constraints decide the count has most
+rows evaluated, a chunk at a time.
 
 On top of these exact weights this module checks, constant-free, the
 records of ``counting_bound`` itself: for every threshold it evaluates,
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -79,7 +78,7 @@ from .bounds import (
     entropy_scaling_gap,
 )
 from .errors import DomainError, SizeError, _integer
-from .instance import Assignment, CspInstance, _lane_counts, weight_of_batch, weight_of_lanes
+from .instance import Assignment, CspInstance, _lane_counts, _Quantization, weight_of_batch, weight_of_lanes
 from .rng import enumeration_lanes, unpack_bits
 
 ORACLE_CAP = 24
@@ -199,17 +198,14 @@ def _threshold(inst: CspInstance, w_star: float, epsilon: float) -> float:
 class _Bounds(NamedTuple):
     """An integer table that brackets the float weight of every assignment.
 
-    ``table`` is ``assignment_weights`` of the quantized instance
+    ``table`` is ``assignment_weights`` of ``quantization.inst``
     (``CspInstance._quantized``): row x holds Q(x), the total in units of
-    u = 2**e of the floored weights of the constraints x satisfies. Its
-    weight ``weight_of(x)`` lies in [u*Q(x) - below, u*Q(x) + above].
+    u = 2**e of the floored weights of the constraints x satisfies.
     """
 
     inst: CspInstance
+    quantization: _Quantization
     table: np.ndarray
-    e: int
-    below: Fraction
-    above: Fraction
 
 
 def _quantum_exponent(inst: CspInstance) -> int:
@@ -219,14 +215,14 @@ def _quantum_exponent(inst: CspInstance) -> int:
 
 def _bounds(inst: CspInstance, cap: int) -> _Bounds:
     """The bound table of ``inst``: the counted table of its quantization (``CspInstance._quantized``)."""
-    quantized, e, below, above = inst._quantized(_quantum_exponent(inst))
-    return _Bounds(inst, assignment_weights(quantized, cap), e, below, above)
+    quantization = inst._quantized(_quantum_exponent(inst))
+    return _Bounds(inst, quantization, assignment_weights(quantization.inst, cap))
 
 
 def _weights(bounds: _Bounds, rows: np.ndarray) -> np.ndarray:
-    """``weight_of`` of the given packed rows, exact: from the table where its margins are 0."""
-    if not (bounds.below or bounds.above):
-        return np.ldexp(bounds.table[rows].astype(np.float64), bounds.e)
+    """``weight_of`` of the given packed rows, exact: from the table where the slack is 0."""
+    if bounds.quantization.slack == 0:
+        return np.ldexp(bounds.table[rows].astype(np.float64), bounds.quantization.e)
     return weight_of_batch(bounds.inst, unpack_bits(rows.astype(np.uint64)[:, None], bounds.inst.num_vars))
 
 
@@ -250,12 +246,12 @@ def _optimum(weights: np.ndarray, n: int, rows: np.ndarray) -> tuple[float, int]
 def _bound_optimum(bounds: _Bounds) -> tuple[float, int]:
     """w* and its lexicographically smallest maximizer, from the rows that may reach it.
 
-    The row of the largest Q weighs at least u*Q_max - below, so a row can
-    only be a maximizer if u*Q + above reaches that: Q >= Q_max -
-    floor((above + below) / u). Only those rows are evaluated.
+    A row whose Q plus the slack is below Q_max weighs less than the row
+    of Q_max (``_Quantization``), so only the rows with Q >= Q_max - slack
+    are evaluated.
     """
     table = bounds.table
-    cut = int(table.max()) - math.floor((bounds.above + bounds.below) / Fraction(2) ** bounds.e)
+    cut = int(table.max()) - bounds.quantization.slack
     rows = np.concatenate(
         [start + np.flatnonzero(table[start : start + _CHUNK] >= cut) for start in range(0, len(table), _CHUNK)]
     )
@@ -269,19 +265,13 @@ class _Near(NamedTuple):
     """
 
     threshold: float
-    sure: int
     maybe: int
+    sure: int
 
 
 def _near(bounds: _Bounds, threshold: float) -> _Near:
-    """The rows that weigh at least ``threshold``, in terms of Q.
-
-    u*Q - below >= threshold holds exactly when Q >= ceil((threshold +
-    below) / u), and u*Q + above < threshold exactly when Q <
-    ceil((threshold - above) / u).
-    """
-    t, u = Fraction(threshold), Fraction(2) ** bounds.e
-    return _Near(threshold, math.ceil((t + bounds.below) / u), math.ceil((t - bounds.above) / u))
+    """The rows that weigh at least ``threshold``, in terms of Q (``_Quantization.window``)."""
+    return _Near(threshold, *bounds.quantization.window(threshold))
 
 
 def _count_near(bounds: _Bounds, near: _Near) -> int:

@@ -18,14 +18,13 @@ budget smaller than one such chunk per worker is shared out evenly instead.
 A chunk needs only its strict prefix maxima, not every weight. Counted
 weights (``CspInstance.counted_weights``) are counted exactly and scanned
 as they are. Any other weights are counted exactly in the units of their
-quantization (``CspInstance._quantized``): row x has a count Q(x) and a
-float weight within [u*Q(x) - below, u*Q(x) + above]. A row whose Q plus
-the slack ceil((above + below) / u) does not exceed an earlier row's Q
-weighs no more than that row, so it cannot be a strict prefix maximum, and
-only the other rows, the candidates, are evaluated in float. Their exact
-weights give the same events, bit for bit. The quantum u keeps the slack
-near the spread of the sample weights (``_quantum_exponent``), and a chunk
-whose candidates are more than an eighth of it is evaluated wholly in
+quantization (``CspInstance._quantized``): row x has a count Q(x), and a
+row whose Q plus the quantization's ``slack`` does not exceed an earlier
+row's Q weighs no more than that row, so it cannot be a strict prefix
+maximum. Only the other rows, the candidates, are evaluated in float. Their
+exact weights give the same events, bit for bit. The quantum u keeps the
+slack near the spread of the sample weights (``_quantum_exponent``), and a
+chunk whose candidates are more than an eighth of it is evaluated wholly in
 float, as are the chunks that start after it.
 """
 
@@ -35,7 +34,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -45,7 +43,6 @@ from .errors import BudgetOverflowError, DomainError, UnsupportedError, _integer
 from .instance import (
     Assignment,
     CspInstance,
-    _Quantization,
     clause_length_histogram,
     ksat_optimum_lower_bound,
     weight_of_batch,
@@ -152,24 +149,13 @@ def _quantum_exponent(inst: CspInstance) -> int:
     return math.frexp(2 * mean * math.sqrt(variance) / inst.num_constraints)[1] - 1
 
 
-def _slack(quantization: _Quantization) -> int:
-    """The least integer s for which Q_i + s <= Q_j implies that row i weighs at most row j.
-
-    Row x weighs F(x) within [u*Q(x) - below, u*Q(x) + above]. If Q_i + s <=
-    Q_j with s >= (above + below) / u, then F_i <= u*Q_i + above <= u*Q_j -
-    below <= F_j.
-    """
-    _, e, below, above = quantization
-    return math.ceil((above + below) / Fraction(2) ** e)
-
-
 def _scan_chunk(
     inst: CspInstance, route: list[tuple[CspInstance, int]], seed: int, start: int, count: int
 ) -> list[tuple[int, float]]:
     """Strict prefix maxima (index, weight) of samples [start, start + count), in index order.
 
     ``route[0]`` is (counted, slack): ``inst``'s quantization
-    (``CspInstance._quantized``) and its ``_slack``, or ``inst`` itself and
+    (``CspInstance._quantized``) and its ``slack``, or ``inst`` itself and
     0, whose count is the weight. A row can rise above every earlier row
     only if its count plus the slack does, so only those rows are evaluated
     in float. If they are more than an eighth of the chunk, every row is,
@@ -183,10 +169,10 @@ def _scan_chunk(
         if 8 * len(rows) > count:
             # a copy of more than an eighth of the chunk's bits would add more
             # memory than the kernel's lanes of all of them, and time, so every
-            # row is evaluated, the row list freed first; a chunk like this is
-            # likely followed by more, so they skip the count
-            del rows
-            weight_of_batch(inst, bits, out=weights)
+            # row is evaluated, the row list and counts freed first; a chunk
+            # like this is likely followed by more, so they skip the count
+            del rows, weights
+            weights = weight_of_batch(inst, bits)
             route[0] = (inst, 0)
         else:
             weights.fill(-math.inf)
@@ -259,7 +245,7 @@ def solve(
         route = [(inst, 0)]
     else:
         quantization = inst._quantized(_quantum_exponent(inst))
-        route = [(quantization.inst, _slack(quantization))]
+        route = [(quantization.inst, quantization.slack)]
     scan = lambda start: _scan_chunk(inst, route, cfg.seed, start, min(rows, budget - start))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -278,7 +264,7 @@ def solve(
     bits = assignment_bits(cfg.seed, best_i, 1, inst.num_vars)[0]
     hit_rate = 2.0 ** (cb.log2_count - inst.num_vars)
     return SamplerResult(
-        best_assignment=Assignment(tuple(int(b) for b in bits)),
+        best_assignment=Assignment(tuple(bits.tolist())),
         best_weight=best_w,
         iterations_used=budget,
         iterations_budget=budget,

@@ -26,7 +26,8 @@ from maxcsp import (
     weight_of,
     weight_of_batch,
 )
-from maxcsp.instance import _restrict, _stack_buffer
+from maxcsp.instance import _restrict, _stack_buffer, weight_of_lanes
+from maxcsp.rng import pack_lanes
 
 from helpers import clauses_instance
 
@@ -248,6 +249,28 @@ class TestAssignment:
         z = Assignment.from_string("0110")
         assert str(z) == "0110"
         assert len(z) == 4
+
+    @pytest.mark.parametrize("text", ["0a1", "0 1", "012", "1.0", ""])
+    def test_from_string_takes_only_bits(self, text):
+        with pytest.raises(DomainError):
+            Assignment.from_string(text)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, 0.5, np.float64(1.0), "1", b"1", None])
+    def test_bits_are_never_truncated(self, bad):
+        # a float or a string is rejected, never truncated or parsed into a bit
+        with pytest.raises(DomainError):
+            Assignment((0, bad))
+        inst = CspInstance(3, (Constraint(1.0, (1, 2, 3), 0b00000010),))
+        with pytest.raises(DomainError):
+            weight_of(inst, [0, bad, 0])
+
+    def test_bits_take_ints_and_bools(self):
+        row = np.array([1, 0, 1], np.uint8)
+        for bits in ((1, 0, 1), (True, False, True), tuple(row), tuple(row.astype(bool)), tuple(row.astype(np.int64))):
+            z = Assignment(bits)
+            assert z.bits == (1, 0, 1) and all(type(b) is int for b in z.bits)
+        inst = CspInstance(3, (Constraint(1.0, (1, 2, 3), 0b00100000),))
+        assert weight_of(inst, row) == weight_of(inst, [True, False, True]) == 1.0
 
 
 def _literal_eval(literal_lists, weights, bits):
@@ -482,15 +505,9 @@ def test_out_receives_the_weights(kernel_paths):
             # a slice of a larger array, as the oracle passes its table
             table = np.full(rows + 2, -1.0)
             out = table[1:-1]
-            assert weight_of_batch(inst, bits, out=out) is out
+            assert weight_of_lanes(inst, pack_lanes(bits), rows, out=out) is out
             assert out.tobytes() == expected.tobytes()
             assert table[0] == table[-1] == -1.0
-    inst = instances["counted"]
-    bits = rng.integers(0, 2, size=(130, 12)).astype(np.uint8)
-    wrong = [np.empty(129), np.empty(131), np.empty((130, 1)), np.empty(130, np.float32), [0.0] * 130]
-    for out in wrong:
-        with pytest.raises(DimensionError, match="out must be"):
-            weight_of_batch(inst, bits, out=out)
 
 
 def test_threads_keep_their_own_buffers(kernel_paths):

@@ -564,13 +564,13 @@ class TestBoundTable:
         # misses the maximum or misjudges the rows at the threshold
         base = random_csp(13, 40, 3, seed=5)
         inst = reweighted(base, (np.random.default_rng(5).integers(1, 16, 40) / 8).tolist())
-        bounds = maxcsp.oracle._bounds(inst, 13)
-        assert bounds.above == bounds.below > 0
+        quantization = maxcsp.oracle._bounds(inst, 13).quantization
+        assert quantization.above == quantization.below > 0 and quantization.slack == 1
         self._check(inst)
         # one real weight sums without rounding, so its table is the weight in units of u
         single = CspInstance(3, (Constraint(0.75, (1, 3), 0b0110),))
-        bounds = maxcsp.oracle._bounds(single, 3)
-        assert bounds.above == bounds.below == 0 and bounds.e < 0
+        quantization = maxcsp.oracle._bounds(single, 3).quantization
+        assert quantization.above == quantization.below == quantization.slack == 0 and quantization.e < 0
         self._check(single)
 
     @pytest.mark.parametrize("dyadic", [False, True])
@@ -622,9 +622,9 @@ class TestBoundTable:
         # 13,306 of 262,144 here)
         evaluated = []
 
-        def counting(inst, bits, out=None):
+        def counting(inst, bits):
             evaluated.append(len(bits))
-            return weight_of_batch(inst, bits, out)
+            return weight_of_batch(inst, bits)
 
         monkeypatch.setattr(maxcsp.oracle, "weight_of_batch", counting)
         for seed in range(3):
@@ -639,7 +639,7 @@ class TestBoundTable:
         # table decides every row
         monkeypatch.setattr(maxcsp.oracle, "weight_of_batch", None)
         inst = random_ekcnf(18, 80, 3, seed=1)
-        assert inst._quantized(maxcsp.oracle._quantum_exponent(inst)) == (inst, 0, 0, 0)
+        assert inst._quantized(maxcsp.oracle._quantum_exponent(inst)) == (inst, 0, 0, 0, 0)
         report = verify_counting_bound(inst, 0.05)
         assert report.d_exact == count_near_optimal(inst, 0.05) > 0
 

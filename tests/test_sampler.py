@@ -530,7 +530,7 @@ class TestQuantizedScan:
         e = math.frexp(inst.total_weight / m)[1] - 1 - bits
         quantization = inst._quantized(e)
         matrix = assignment_bits(seed, 64 * block, count, n)
-        candidates = sampler._candidates(weight_of_batch(quantization.inst, matrix), sampler._slack(quantization))
+        candidates = sampler._candidates(weight_of_batch(quantization.inst, matrix), quantization.slack)
         assert np.all(np.diff(candidates) > 0)
         maxima = [i for i, _ in _prefix_maxima(weight_of_batch(inst, matrix))]
         assert set(maxima) <= set(candidates.tolist())
