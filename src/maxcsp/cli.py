@@ -35,7 +35,10 @@ EXIT_VERIFY = 5
 
 
 def _load(path: str, kind: str | None):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
     inst, diags = parse(text, kind)
     for line, message in diags.warnings:
         print(f"warning: line {line}: {message}", file=sys.stderr)

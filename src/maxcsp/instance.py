@@ -12,16 +12,16 @@ Conventions used throughout the package:
   are accumulated sequentially in constraint order, so every derived
   quantity is bit-for-bit reproducible.
 * ``weight_of`` is the scalar reference. ``weight_of_batch`` evaluates on
-  lane words (``rng.pack_lanes``: one word holds one variable of 64 rows),
-  turning each truth table into a few word operations by Shannon expansion,
-  and returns exactly ``weight_of``'s values: integer weights whose total is
-  at most 2**53 (``counted_weights``) are counted bit-sliced, which is exact
-  in any order, and all other weights are added one constraint at a time in
-  constraint order, which repeats ``weight_of``'s float additions. Both
-  read one loop of stacks of consecutive constraint blocks
-  (``_STACK_BYTES``): the count column-sums each by an adder tree inside
-  it, and the float sum unpacks it in slices of that budget, so numpy calls
-  are few and large at any row count.
+  lane words (``rng.pack_lanes``: one word holds one variable of 64 rows)
+  through ``weight_of_lanes``, the kernel's one entry, which turns each
+  truth table into a few word operations by Shannon expansion and returns
+  exactly ``weight_of``'s values: counted weights are counted bit-sliced,
+  exact in any order, into unsigned integers (``_weight_dtype``), and all
+  other weights are added in float64 in constraint order, which repeats
+  ``weight_of``'s float additions. Both read one loop of stacks of
+  consecutive constraint blocks (``_STACK_BYTES``): the count column-sums
+  each by an adder tree inside it, and the float sum unpacks it in slices
+  of that budget, so numpy calls are few and large at any row count.
 * ``CspInstance._quantized(e)`` floors every weight to a multiple of a
   power of two u = 2**e, in units of u, a counted instance, and bounds
   each row's float weight by its count with exact margins, from which
@@ -65,8 +65,8 @@ class Constraint:
 
     def __post_init__(self):
         object.__setattr__(self, "weight", _real("weight", self.weight))
-        object.__setattr__(self, "vars", tuple(int(v) for v in self.vars))
-        object.__setattr__(self, "truth_table", int(self.truth_table))
+        object.__setattr__(self, "vars", tuple(_integer("variable", v) for v in self.vars))
+        object.__setattr__(self, "truth_table", _integer("truth table", self.truth_table))
         if not np.isfinite(self.weight) or self.weight <= 0.0:
             raise DomainError("constraint weight must be a positive real")
         a = len(self.vars)
@@ -177,7 +177,7 @@ class CspInstance:
     contributions: tuple[float, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "num_vars", int(self.num_vars))
+        object.__setattr__(self, "num_vars", _integer("num_vars", self.num_vars))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.num_vars < 1:
             raise DomainError("instance needs at least one variable")
@@ -367,7 +367,7 @@ def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> floa
 
 
 def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
-    """Vectorized weights for a (batch, num_vars) 0/1 matrix, as a new float64 array.
+    """Vectorized weights for a (batch, num_vars) 0/1 matrix, as a new array of ``_weight_dtype``.
 
     Accepts any memory order and any integer or bool dtype holding 0/1
     values; a Fortran-order matrix, as ``rng.assignment_bits`` returns, packs
@@ -380,9 +380,9 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
       of ``weight_of`` is an integer of at most 2**53, hence exact, so any
       summation order gives its value. The satisfied words are counted
       bit-sliced per weight bit, a stack of constraint blocks at a time, into
-      one bit-sliced total, which is unpacked once.
-    * Any other weights: ``out += weight * satisfied``, one constraint at a
-      time in instance order, which repeats ``weight_of``'s float additions.
+      one bit-sliced total, which is unpacked once into unsigned integers.
+    * Any other weights: ``out += weight * satisfied`` in float64, one constraint
+      at a time in instance order, which repeats ``weight_of``'s float additions.
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
@@ -391,43 +391,35 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     return weight_of_lanes(inst, pack_lanes(bits), len(bits))
 
 
-def weight_of_lanes(
-    inst: CspInstance, lanes: np.ndarray, rows: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Weights of the first ``rows`` items of (num_vars, words) lane words, into ``out`` if given.
+def _weight_dtype(inst: CspInstance) -> np.dtype:
+    """The dtype of the kernel's weights of ``inst`` and of its oracle table.
+
+    Counted weights take the smallest unsigned dtype that holds the total
+    weight (uint8 for unit clauses with m <= 255), any other weights float64.
+    An integer array wraps around on overflow: cast it before arithmetic
+    that could leave its range, such as a difference or an added slack.
+    """
+    return np.min_scalar_type(int(inst.total_weight)) if inst.counted_weights else np.dtype(np.float64)
+
+
+def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
+    """Weights of the first ``rows`` items of (num_vars, words) lane words, as a new array.
 
     Lane word (v, b) holds variable v of items 64b..64b+63, item 64b+i at
     bit i (``rng``: ``assignment_bits`` draws them, ``pack_lanes`` packs a
-    matrix into them); the values are ``weight_of_batch``'s. ``out``, a
-    float64 array of shape (rows,), such as a chunk of the oracle's table,
-    receives them and is returned; without it the result is a new array.
-    Counted weights are ``_lane_counts``, cast; the float sum reads the same
-    loop over ``_stacks``.
+    matrix into them); the values and their dtype are ``weight_of_batch``'s.
+    Both sums read one loop over ``_stacks``; the count is decoded once.
     """
-    if out is None:
-        # before the count's arrays: this order keeps a desk-scale solve from churning the heap
-        out = np.empty(rows)
-    if inst.counted_weights:
-        out[...] = _lane_counts(inst, lanes, rows)
+    if not inst.counted_weights:
+        out = np.zeros(rows)
+        term = np.empty(rows)
+        step = max(1, _STACK_BYTES // max(rows, 1))
+        for weights, stack in _stacks(inst._lane_plan, lanes):
+            for k in range(0, len(stack), step):
+                satisfied = unpack_bits(stack[k : k + step], rows)
+                for weight, bits in zip(weights[k : k + step], satisfied):
+                    out += np.multiply(bits, weight, out=term)
         return out
-    out.fill(0.0)
-    term = np.empty(rows)
-    step = max(1, _STACK_BYTES // max(rows, 1))
-    for weights, stack in _stacks(inst._lane_plan, lanes):
-        for k in range(0, len(stack), step):
-            satisfied = unpack_bits(stack[k : k + step], rows)
-            for weight, bits in zip(weights[k : k + step], satisfied):
-                out += np.multiply(bits, weight, out=term)
-    return out
-
-
-def _lane_counts(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
-    """Exact integer weights of the first ``rows`` items of lane words, for counted weights.
-
-    The result is a new array in the smallest unsigned dtype that holds the
-    weight of the satisfiable constraints. The count is decoded once, after
-    the last stack.
-    """
     # bit planes of each row's count, least significant first, and the
     # weight of the constraints counted so far, which bounds every row's count
     total: list[np.ndarray] = []
@@ -447,7 +439,7 @@ def _lane_counts(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarray:
             total = total[:k] + _add(total[k:], stack_sum)
         seen += int(weights.sum())
         total = total[: seen.bit_length()]
-    return _values(total, rows, np.empty(rows, np.min_scalar_type(seen)))
+    return _values(total, rows, np.empty(rows, _weight_dtype(inst)))
 
 
 # satisfiable constraints per block of the plan, grouped by expression shape

@@ -1,18 +1,18 @@
 """Brute-force ground truth for desk-scale instances.
 
-Enumerates all 2^n assignments in chunks through the same vectorized
-kernel the sampler uses (``instance.weight_of_lanes``, behind
-``weight_of_batch``), so the weight table is bit-identical to the scalar
-``weight_of`` of every assignment, integral weights or not. No table is
-cached: each call enumerates afresh. A chunk's lanes are built in closed
-form by ``rng.enumeration_lanes``, with no bit matrix in between.
+Enumerates all 2^n assignments in chunks through the kernel's one entry,
+``instance.weight_of_lanes``, which the sampler reaches through
+``weight_of_batch``, so the weight table equals the scalar ``weight_of``
+of every assignment, integral weights or not. No table is cached: each
+call enumerates afresh. A chunk's lanes are built in closed form by
+``rng.enumeration_lanes``, with no bit matrix in between.
 
 Counted weights (``CspInstance.counted_weights``: integers of total at most
 2**53, as in unit MAX-kSAT) stay exact integers end to end. Their table
-has the smallest unsigned dtype that holds the total weight (uint8 for
-unit clauses with m <= 255, an eighth of a float64 table), filled with the
-kernel's integer counts (``instance._lane_counts``) without a float in
-between, and the optimum and the near-optimal threshold are compared in
+has the kernel's dtype (``instance._weight_dtype``: uint8 for unit
+clauses with m <= 255, an eighth of a float64 table), filled with the
+kernel's integer counts without a float in between, and the optimum and
+the near-optimal threshold are compared in
 that dtype. An integer table wraps around on overflow, so cast it before
 arithmetic that could leave its range. The table is built from cofactors
 (``CspInstance._cofactors``). The constraints over x1..x(n-2) weigh the
@@ -78,7 +78,7 @@ from .bounds import (
     entropy_scaling_gap,
 )
 from .errors import DomainError, SizeError, _integer
-from .instance import Assignment, CspInstance, _lane_counts, _Quantization, weight_of_batch, weight_of_lanes
+from .instance import Assignment, CspInstance, _Quantization, _weight_dtype, weight_of_batch, weight_of_lanes
 from .rng import enumeration_lanes, unpack_bits
 
 ORACLE_CAP = 24
@@ -97,19 +97,17 @@ _CHUNK = 1 << 16
 def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
     """Weight of every assignment, indexed by the packed bit value.
 
-    Counted weights (``CspInstance.counted_weights``) give exact integers in
-    the smallest unsigned dtype that holds the total weight: uint8 for unit
-    clauses with m <= 255. Any other weights give float64. Either way every
-    entry equals ``weight_of`` of its assignment. An integer table wraps
-    around on overflow, so cast it (``astype``) before arithmetic that could
-    leave its range, such as a difference.
+    The dtype is the kernel's (``instance._weight_dtype``): exact unsigned
+    integers for counted weights (``CspInstance.counted_weights``), float64
+    for any others. Either way every entry equals ``weight_of`` of its
+    assignment. An integer table wraps around on overflow, so cast it
+    (``astype``) before arithmetic that could leave its range.
     """
     n = inst.num_vars
     if n > _integer("cap", cap):
         raise SizeError(f"{n} variables exceed the enumeration cap {cap}")
-    dtype = np.min_scalar_type(int(inst.total_weight)) if inst.counted_weights else np.float64
     try:
-        out = np.empty(1 << n, dtype=dtype)
+        out = np.empty(1 << n, dtype=_weight_dtype(inst))
     except (MemoryError, ValueError) as exc:
         # numpy raises MemoryError when the host refuses the table, and
         # ValueError when its byte size does not fit in an address
@@ -151,17 +149,15 @@ def _fill_table(
     (``_leaf_lanes``).
     """
     n = inst.num_vars
-    counted = inst.counted_weights
-    if not counted or len(out) < 4 * _CHUNK:
+    if not inst.counted_weights or len(out) < 4 * _CHUNK:
         for i, start in enumerate(range(0, len(out), _CHUNK)):
             chunk = out[start : start + _CHUNK]
             chunk_lanes = enumeration_lanes(start, len(chunk), n) if lanes is None else lanes[i]
-            if not counted:
-                weight_of_lanes(inst, chunk_lanes, len(chunk), out=chunk)
-            elif add:
-                chunk += _lane_counts(inst, chunk_lanes, len(chunk))
+            weights = weight_of_lanes(inst, chunk_lanes, len(chunk))
+            if add:
+                chunk += weights
             else:
-                chunk[...] = _lane_counts(inst, chunk_lanes, len(chunk))
+                chunk[...] = weights
         return
     inner, cofactors = inst._cofactors
     quarters = out.reshape(4, -1)

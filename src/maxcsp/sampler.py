@@ -25,7 +25,8 @@ maximum. Only the other rows, the candidates, are evaluated in float. Their
 exact weights give the same events, bit for bit. The quantum u keeps the
 slack near the spread of the sample weights (``_quantum_exponent``), and a
 chunk whose candidates are more than an eighth of it is evaluated wholly in
-float, as are the chunks that start after it.
+float, as are the chunks that start after it. Every event weight is a
+Python float.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _scan_chunk(
             weights = weight_of_batch(inst, bits)
             route[0] = (inst, 0)
         else:
-            weights.fill(-math.inf)
+            weights = np.full(count, -math.inf)
             # the rows of a Fortran-order matrix are gathered fastest as columns of its transpose
             weights[rows] = weight_of_batch(inst, bits.T.take(rows, axis=1).T)
     # freed before the scan allocates: held through it, the bits made a
@@ -189,14 +190,14 @@ def _scan_chunk(
         best = float(floors[b])
         for i, w in enumerate(weights[64 * b : 64 * b + 64].tolist(), start + 64 * b):
             if w > best:
-                events.append((i, w))
+                events.append((i, float(w)))
                 best = w
     return events
 
 
 def _block_peaks(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The maximum of each 64-row block, and the maximum of all blocks before it (-inf for the first)."""
-    peaks = np.maximum.reduceat(weights, np.arange(0, len(weights), 64))
+    """The maximum of each 64-row block, and the maximum of all blocks before it (-inf for the first), as floats."""
+    peaks = np.maximum.reduceat(weights, np.arange(0, len(weights), 64)).astype(np.float64)
     return peaks, np.maximum.accumulate(np.concatenate(([-math.inf], peaks[:-1])))
 
 
@@ -210,7 +211,8 @@ def _candidates(counts: np.ndarray, slack: int) -> np.ndarray:
     peaks, floors = _block_peaks(counts)
     blocks = np.flatnonzero(peaks + slack > floors)
     rows = 64 * blocks[:, None] + np.arange(64)
-    block = counts[np.minimum(rows, len(counts) - 1)]
+    # cast before the slack is added, which could wrap around a narrow integer count
+    block = counts[np.minimum(rows, len(counts) - 1)].astype(np.float64)
     block[rows >= len(counts)] = -math.inf
     before = np.maximum.accumulate(np.column_stack((floors[blocks], block[:, :-1])), axis=1)
     return rows[block + slack > before]

@@ -1,6 +1,8 @@
 """Instance builders shared by the test modules; a plain module, so it
 imports the same way whichever test directories one pytest run collects."""
 
+import numpy as np
+
 from maxcsp import Constraint, CspInstance, clause_from_literals
 
 
@@ -21,3 +23,9 @@ def reweighted(inst, weights):
         tuple(Constraint(w, c.vars, c.truth_table) for w, c in zip(weights, inst.constraints)),
         clause_built=inst.clause_built,
     )
+
+
+def weight_dtype(inst):
+    """The dtype of ``inst``'s kernel weights and oracle table: counted weights
+    in the smallest unsigned dtype that holds the total weight, others float64."""
+    return np.min_scalar_type(int(inst.total_weight)) if inst.counted_weights else np.dtype(np.float64)

@@ -182,6 +182,14 @@ class TestSolve:
         assert report["clamped"] == "1"
         assert report["iterations"] == "400"
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_not_utf8_exit_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.cnf"
+        bad.write_bytes("c caf\u00e9\np cnf 2 1\n1 2 0\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, command, str(bad), "--eps", "0.1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "UTF-8" in err and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/x.cnf", "--eps", "0.1")
         assert code == 2

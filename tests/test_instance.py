@@ -29,7 +29,7 @@ from maxcsp import (
 from maxcsp.instance import _restrict, _stack_buffer, weight_of_lanes
 from maxcsp.rng import pack_lanes
 
-from helpers import clauses_instance
+from helpers import clauses_instance, weight_dtype
 
 
 class TestWeightOf:
@@ -193,6 +193,25 @@ class TestValidation:
     def test_one_based_indices(self):
         with pytest.raises(FormatError):
             Constraint(1.0, (0, 1), 0b0110)
+
+    @pytest.mark.parametrize("bad", [1.9, 2.0, np.float64(2.0), "2", True, np.bool_(True), None], ids=repr)
+    def test_integer_fields_are_never_truncated(self, bad):
+        # a float, a string or a bool is rejected, never truncated or parsed into an index
+        unit = (clause_from_literals((1,), 1.0),)
+        for build in (
+            lambda: Constraint(1.0, (bad, 3), 0b0110),
+            lambda: Constraint(1.0, (1, bad), 0b0110),
+            lambda: Constraint(1.0, (1, 3), bad),
+            lambda: CspInstance(bad, unit),
+        ):
+            with pytest.raises(DomainError):
+                build()
+
+    def test_integer_fields_take_python_and_numpy_ints(self):
+        c = Constraint(1.0, (np.int64(1), np.uint8(3)), np.int32(6))
+        inst = CspInstance(np.int16(3), (c,))
+        assert c == Constraint(1.0, (1, 3), 6) and inst.num_vars == 3
+        assert all(type(v) is int for v in (*c.vars, c.truth_table, inst.num_vars))
 
     def test_instance_var_range(self):
         with pytest.raises(FormatError):
@@ -432,7 +451,7 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
         block = 8 * 64 * max(1, -(-rows // 64))
         for inst in instances:
             bits = rng.integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
-            expected = np.array([weight_of(inst, tuple(int(b) for b in row)) for row in bits])
+            expected = np.array([weight_of(inst, tuple(int(b) for b in row)) for row in bits], weight_dtype(inst))
             # below one block, the float path unpacks one constraint at a time
             for budget in (1, block, 2 * block, 1 << 62):
                 monkeypatch.setattr(maxcsp.instance, "_STACK_BYTES", budget)
@@ -442,7 +461,7 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
 
 @pytest.fixture(scope="module")
 def kernel_paths():
-    """Instances over 12 variables, one per kernel path, with every assignment's ``weight_of``."""
+    """Instances over 12 variables, one per kernel path, with every assignment's ``weight_of`` in the kernel's dtype."""
     rng = np.random.default_rng(31)
     wide = Constraint(3.0, tuple(range(1, 9)), int.from_bytes(rng.bytes(32), "little"))
     tables = random_csp(12, 60, 4, seed=7).constraints
@@ -461,7 +480,7 @@ def kernel_paths():
     space = np.arange(1 << 12)
     every = (space[:, None] >> np.arange(12)) & 1
     tables = {
-        name: np.array([weight_of(inst, tuple(int(b) for b in row)) for row in every])
+        name: np.array([weight_of(inst, tuple(int(b) for b in row)) for row in every], weight_dtype(inst))
         for name, inst in instances.items()
     }
     return instances, tables
@@ -490,24 +509,23 @@ def test_reused_buffers_never_leak_into_a_result(kernel_paths):
             got = weight_of_batch(inst, np.asfortranarray(bits))
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
             kept.append((got, expected))
-    # an array returned without out is the caller's: no later call changed it
+    # every array returned is the caller's: no later call changed it
     for got, expected in kept:
         assert got.tobytes() == expected.tobytes()
 
 
-def test_out_receives_the_weights(kernel_paths):
+def test_lanes_give_a_new_array_of_the_weights(kernel_paths):
     instances, tables = kernel_paths
     rng = np.random.default_rng(33)
     for rows in (0, 1, 130, 18_863):
         for name, inst in instances.items():
             bits = rng.integers(0, 2, size=(rows, 12)).astype(np.uint8)
             expected = _expected(tables[name], bits)
-            # a slice of a larger array, as the oracle passes its table
-            table = np.full(rows + 2, -1.0)
-            out = table[1:-1]
-            assert weight_of_lanes(inst, pack_lanes(bits), rows, out=out) is out
-            assert out.tobytes() == expected.tobytes()
-            assert table[0] == table[-1] == -1.0
+            lanes = pack_lanes(bits)
+            # the kernel's one entry: weight_of_batch's dtype and values, in an array of its own
+            first, second = (weight_of_lanes(inst, lanes, rows) for _ in range(2))
+            assert first.dtype == expected.dtype and first.tobytes() == expected.tobytes()
+            assert second.tobytes() == first.tobytes() and not np.shares_memory(first, second)
 
 
 def test_threads_keep_their_own_buffers(kernel_paths):

@@ -27,7 +27,7 @@ from maxcsp import (
 )
 import maxcsp.oracle
 from maxcsp.oracle import DeltaCheck, VerificationReport
-from maxcsp.instance import _STACK_BYTES, _held, _lane_counts, weight_of_lanes
+from maxcsp.instance import _STACK_BYTES, _held, weight_of_lanes
 from maxcsp.rng import enumeration_lanes, unpack_bits
 
 from helpers import clauses_instance, reweighted
@@ -150,7 +150,7 @@ class TestBruteForce:
         assert table.dtype == np.min_scalar_type(int(inst.total_weight)), name
         chunk = maxcsp.oracle._CHUNK
         for start in range(0, 1 << n, chunk):
-            whole = _lane_counts(inst, enumeration_lanes(start, chunk, n), chunk)
+            whole = weight_of_lanes(inst, enumeration_lanes(start, chunk, n), chunk)
             assert np.array_equal(table[start : start + chunk], whole), (name, start)
         for z in rng.integers(0, 1 << n, 200).tolist():
             assert table[z] == weight_of(inst, Assignment.from_int(z, n)), (name, z)
@@ -164,9 +164,9 @@ class TestBruteForce:
 
         def counting(inst, lanes, rows):
             evaluated.append(inst.num_constraints * rows)
-            return _lane_counts(inst, lanes, rows)
+            return weight_of_lanes(inst, lanes, rows)
 
-        monkeypatch.setattr(maxcsp.oracle, "_lane_counts", counting)
+        monkeypatch.setattr(maxcsp.oracle, "weight_of_lanes", counting)
         rng = np.random.default_rng(n)
         for name, inst in self._cases(n).items():
             assert inst.counted_weights, name
@@ -240,11 +240,10 @@ class TestBruteForce:
         # n=20, the inner tables of add mode (2^16 rows at n=20); two float64
         # chunks is the bound
         chunk = maxcsp.oracle._CHUNK
-        term = np.empty(chunk)
         for inst in (random_ekcnf(n, round(4.5 * n), 3, seed=n), random_ekcnf(n, 15 * n, 3, seed=n)):
             peaks = []
             for build in (
-                lambda: weight_of_lanes(inst, enumeration_lanes(0, chunk, n), chunk, out=term),
+                lambda: weight_of_lanes(inst, enumeration_lanes(0, chunk, n), chunk),
                 lambda: assignment_weights(inst),
             ):
                 vars(_held).clear()  # this thread's kernel stack
@@ -268,7 +267,7 @@ class TestBruteForce:
             itemsize = np.min_scalar_type(int(inst.total_weight)).itemsize
             peaks = []
             for build in (
-                lambda: _lane_counts(inst, enumeration_lanes(0, chunk, n), chunk),
+                lambda: weight_of_lanes(inst, enumeration_lanes(0, chunk, n), chunk),
                 lambda: assignment_weights(inst),
             ):
                 vars(_held).clear()  # this thread's kernel stack
@@ -652,7 +651,7 @@ class TestBoundTable:
         quantized = inst._quantized(maxcsp.oracle._quantum_exponent(inst)).inst
         peaks = []
         for build in (
-            lambda: _lane_counts(quantized, enumeration_lanes(0, chunk, n), chunk),
+            lambda: weight_of_lanes(quantized, enumeration_lanes(0, chunk, n), chunk),
             lambda: verify_counting_bound(inst, 0.05),
         ):
             vars(_held).clear()  # this thread's kernel stack

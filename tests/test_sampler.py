@@ -211,6 +211,9 @@ class TestSolve:
             trace=lambda i, w: events.append((i, w)),
         )
         assert events[-1][1] == res.best_weight
+        # the counted weights are integers in the kernel, Python floats here
+        assert inst.counted_weights and type(res.best_weight) is float
+        assert all(type(w) is float for _, w in events)
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
@@ -418,6 +421,13 @@ class TestSolve:
             tracemalloc.stop()
         assert all(stack is stacks[0] for stack in stacks)
         assert all(peak <= peaks[0] - stacks[0].nbytes for peak in peaks[1:])
+        # a warm call's fresh memory stays under twice its (rows, n) bit
+        # matrix, about the trim threshold glibc sets once that matrix is
+        # freed: past it, a call's own frees can trim the heap that its next
+        # call grows again. The kernel's counts stay integers, with no float
+        # copy, to keep it there (418 KB of 453 KB here)
+        rows = solve_ksat(inst, 3, epsilon=0.125, fail_prob=1e-2, seed=0).iterations_used
+        assert all(peak < 2 * inst.num_vars * rows for peak in peaks[1:]), (peaks, rows)
 
     def test_covers_whole_space_matches_oracle(self):
         inst = random_ekcnf(6, 18, 3, seed=14)
@@ -490,8 +500,11 @@ class TestQuantizedScan:
             # one dyadic weight: both margins are 0, and the count is still in units of u
             CspInstance(9, (Constraint(0.5, (1, 3), 0b0110),)),
             _light_weights_decide(),
+            # a uint8 count (at most 255) whose peak of 244 plus the slack of 17
+            # would wrap around were it not cast before the slack is added
+            reweighted(random_wcnf(10, 34, 3, seed=8), np.random.default_rng(8).uniform(0.5, 4.0, 34)),
         ],
-        ids=["wcnf", "csp", "integer_above_2_53", "one_dyadic_weight", "light_weights_decide"],
+        ids=["wcnf", "csp", "integer_above_2_53", "one_dyadic_weight", "light_weights_decide", "uint8_count"],
     )
     def test_matches_a_float_scan_of_every_row(self, monkeypatch, inst):
         assert not inst.counted_weights
