@@ -24,7 +24,7 @@ from .errors import (
 )
 from .formats import KINDS, parse, serialize
 from .generate import random_ekcnf
-from .oracle import ORACLE_CAP, verify_counting_bound
+from .oracle import verify_counting_bound
 from .sampler import SamplerConfig, solve
 
 EXIT_OK = 0
@@ -141,7 +141,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load(args.file, None)
-    report = verify_counting_bound(inst, args.eps, args.wbar, cap=args.max_n)
+    report = verify_counting_bound(inst, args.eps, args.wbar)
     print(f"n={report.num_vars}")
     print(f"m={report.num_constraints}")
     print(f"eps={report.epsilon!r}")
@@ -203,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--wbar", type=float, default=None)
-    p.add_argument("--max-n", type=int, default=ORACLE_CAP)
     p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -53,6 +53,13 @@ weight and no row is evaluated again. Light weights that floor to 0 only
 widen R, so an instance whose light constraints decide the count has most
 rows evaluated, a chunk at a time.
 
+What bounds a query is the bytes of its table, ``_TABLE_BYTES``, checked
+before the table is allocated, not a variable count: the same limit takes
+unit clauses to n = 28 and a float64 table to n = 25. Beside its table a
+query holds O(chunk): rows that may be maximizers are reduced to their
+winner once they pass a chunk, and the flip-set members are judged a chunk
+at a time.
+
 On top of these exact weights this module checks, constant-free, the
 records of ``counting_bound`` itself: for every threshold it evaluates,
 the number of assignments within additive slack eps*w of the optimum is
@@ -65,8 +72,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import NamedTuple
+from itertools import combinations, islice
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -81,7 +88,13 @@ from .errors import DomainError, SizeError, _integer
 from .instance import Assignment, CspInstance, _Quantization, _weight_dtype, weight_of_batch, weight_of_lanes
 from .rng import enumeration_lanes, unpack_bits
 
-ORACLE_CAP = 24
+# the most bytes a 2^n-row table may take: a uint8 table (unit clauses,
+# m <= 255) reaches n=28, a uint16 one (the bound table of most real
+# weights) n=27 and a float64 one n=25. At the limit a verify of
+# random_ekcnf(28, 119, 3) or random_wcnf(27, 90, 3) peaks at 314 MB RSS in
+# 0.25 and 0.38 s, and a float64 table of random_wcnf(25, 83, 3) at 295 MB
+# in 2.1 s (2 cores, Python 3.11, numpy 2.4)
+_TABLE_BYTES = 1 << 28
 # bits of the average weight of a real-weight instance in the units of its
 # quantization (``CspInstance._quantized``). Fewer bits make the integer
 # table cheaper and leave more rows to evaluate in float: on the
@@ -94,7 +107,7 @@ _QUANTUM_BITS = 4
 _CHUNK = 1 << 16
 
 
-def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
+def assignment_weights(inst: CspInstance) -> np.ndarray:
     """Weight of every assignment, indexed by the packed bit value.
 
     The dtype is the kernel's (``instance._weight_dtype``): exact unsigned
@@ -103,14 +116,14 @@ def assignment_weights(inst: CspInstance, cap: int = ORACLE_CAP) -> np.ndarray:
     assignment. An integer table wraps around on overflow, so cast it
     (``astype``) before arithmetic that could leave its range.
     """
-    n = inst.num_vars
-    if n > _integer("cap", cap):
-        raise SizeError(f"{n} variables exceed the enumeration cap {cap}")
+    n, dtype = inst.num_vars, _weight_dtype(inst)
+    size = dtype.itemsize << n
+    if size > _TABLE_BYTES:
+        raise SizeError(f"the 2^{n}-entry {dtype} weight table takes {size} bytes, over the limit of {_TABLE_BYTES}")
     try:
-        out = np.empty(1 << n, dtype=_weight_dtype(inst))
-    except (MemoryError, ValueError) as exc:
-        # numpy raises MemoryError when the host refuses the table, and
-        # ValueError when its byte size does not fit in an address
+        out = np.empty(1 << n, dtype=dtype)
+    except MemoryError as exc:
+        # numpy raises MemoryError when the host refuses the table
         raise SizeError(f"no memory for the 2^{n}-entry weight table: {exc}") from exc
     _fill_table(inst, out, lanes=_leaf_lanes(inst))
     return out
@@ -209,10 +222,10 @@ def _quantum_exponent(inst: CspInstance) -> int:
     return math.frexp(inst.total_weight / inst.num_constraints)[1] - 1 - _QUANTUM_BITS
 
 
-def _bounds(inst: CspInstance, cap: int) -> _Bounds:
+def _bounds(inst: CspInstance) -> _Bounds:
     """The bound table of ``inst``: the counted table of its quantization (``CspInstance._quantized``)."""
     quantization = inst._quantized(_quantum_exponent(inst))
-    return _Bounds(inst, quantization, assignment_weights(quantization.inst, cap))
+    return _Bounds(inst, quantization, assignment_weights(quantization.inst))
 
 
 def _weights(bounds: _Bounds, rows: np.ndarray) -> np.ndarray:
@@ -244,14 +257,23 @@ def _bound_optimum(bounds: _Bounds) -> tuple[float, int]:
 
     A row whose Q plus the slack is below Q_max weighs less than the row
     of Q_max (``_Quantization``), so only the rows with Q >= Q_max - slack
-    are evaluated.
+    are evaluated. Once the held rows pass a chunk they are reduced to
+    their winner, which is the winner of the rows it stands for, so rows
+    that fit in a chunk are evaluated in one call and no more than two
+    chunks of rows are ever held.
     """
-    table = bounds.table
+    table, n = bounds.table, bounds.inst.num_vars
     cut = int(table.max()) - bounds.quantization.slack
-    rows = np.concatenate(
-        [start + np.flatnonzero(table[start : start + _CHUNK] >= cut) for start in range(0, len(table), _CHUNK)]
-    )
-    return _optimum(_weights(bounds, rows), bounds.inst.num_vars, rows)
+    held: list[np.ndarray] = []
+    count = 0
+    for start in range(0, len(table), _CHUNK):
+        held.append(start + np.flatnonzero(table[start : start + _CHUNK] >= cut))
+        count += len(held[-1])
+        if count > _CHUNK:
+            rows = np.concatenate(held)
+            held, count = [np.array([_optimum(_weights(bounds, rows), n, rows)[1]])], 1
+    rows = np.concatenate(held)
+    return _optimum(_weights(bounds, rows), n, rows)
 
 
 class _Near(NamedTuple):
@@ -293,16 +315,24 @@ def _is_near(bounds: _Bounds, near: _Near, rows: np.ndarray) -> np.ndarray:
     return inside
 
 
-def brute_force_optimum(inst: CspInstance, cap: int = ORACLE_CAP) -> tuple[float, Assignment]:
+def _all_near(bounds: _Bounds, near: _Near, rows: Iterator[int]) -> bool:
+    """Whether every packed row that ``rows`` yields is near-optimal, judged a chunk at a time."""
+    while len(batch := np.fromiter(islice(rows, _CHUNK), dtype=np.int64)):
+        if not _is_near(bounds, near, batch).all():
+            return False
+    return True
+
+
+def brute_force_optimum(inst: CspInstance) -> tuple[float, Assignment]:
     """Exact maximum weight and its lexicographically smallest maximizer."""
-    w_star, z = _bound_optimum(_bounds(inst, cap))
+    w_star, z = _bound_optimum(_bounds(inst))
     return w_star, Assignment.from_int(z, inst.num_vars)
 
 
-def count_near_optimal(inst: CspInstance, epsilon: float, cap: int = ORACLE_CAP) -> int:
+def count_near_optimal(inst: CspInstance, epsilon: float) -> int:
     """Exact number of assignments with weight >= w* - eps*w."""
     epsilon = _check_epsilon(epsilon)
-    bounds = _bounds(inst, cap)
+    bounds = _bounds(inst)
     w_star, _ = _bound_optimum(bounds)
     return _count_near(bounds, _near(bounds, _threshold(inst, w_star, epsilon)))
 
@@ -330,21 +360,16 @@ class VerificationReport:
     all_pass: bool
 
 
-def verify_counting_bound(
-    inst: CspInstance,
-    epsilon: float,
-    w_bar: float | None = None,
-    cap: int = ORACLE_CAP,
-) -> VerificationReport:
+def verify_counting_bound(inst: CspInstance, epsilon: float, w_bar: float | None = None) -> VerificationReport:
     """Check d_exact >= sum_{i<=r} C(|S|,i) for every record of ``counting_bound``.
 
     Also replays the constructive argument: every assignment obtained from
     the brute-force maximizer by flipping at most r variables of S must
-    itself meet the additive threshold.
+    itself meet the additive threshold, checked a chunk of them at a time.
     """
     cb = counting_bound(inst, epsilon, w_bar)
     n = inst.num_vars
-    bounds = _bounds(inst, cap)
+    bounds = _bounds(inst)
     w_star, z0 = _bound_optimum(bounds)
     near = _near(bounds, _threshold(inst, w_star, cb.effective_epsilon))
     d_exact = _count_near(bounds, near)
@@ -352,10 +377,10 @@ def verify_counting_bound(
     checks = []
     for rec in cb.per_delta:
         masks = [1 << f for f in range(n) if inst.contributions[f] <= rec.threshold]
-        members = [z0 ^ sum(c) for size in range(rec.r + 1) for c in combinations(masks, size)]
+        members = (z0 ^ sum(c) for size in range(rec.r + 1) for c in combinations(masks, size))
         sigma = binomial_sum(rec.s_size, rec.r)
         # sigma counts the record's |S|, so it must be the set the replay flips
-        members_ok = len(masks) == rec.s_size and bool(_is_near(bounds, near, np.array(members, dtype=np.int64)).all())
+        members_ok = len(masks) == rec.s_size and _all_near(bounds, near, members)
         checks.append(
             DeltaCheck(
                 delta=rec.delta,

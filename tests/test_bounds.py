@@ -28,7 +28,6 @@ from maxcsp import (
     comparison_table,
     count_near_optimal,
     solve_ksat,
-    brute_force_optimum,
     verify_counting_bound,
     verify_entropy_scaling,
 )
@@ -461,7 +460,6 @@ class TestArgumentRules:
             ("parallelism", lambda v: SamplerConfig(epsilon=0.5, parallelism=v), 3),
             ("samples", lambda v: verify_entropy_scaling(v), 3),
             ("seed", lambda v: verify_entropy_scaling(3, seed=v), 3),
-            ("cap", lambda v: brute_force_optimum(inst, cap=v), 6),
             ("s", lambda v: binomial_sum(v, 2), 5),
             ("r", lambda v: binomial_sum(5, v), 2),
             ("s", lambda v: log2_binomial_sum(v, 2), 5),

@@ -374,29 +374,29 @@ class TestVerify:
         assert "d_exact=2" in out
 
     def test_cap_maps_to_domain_exit(self, tmp_path, capsys):
-        from maxcsp import random_ekcnf, serialize
+        # the table's bytes decide, with no flag: a WCNF at n=26 takes a
+        # 128 MiB uint16 bound table and passes, a unit CNF at n=29 would
+        # take 512 MiB of uint8 and is refused
+        from maxcsp import random_ekcnf, random_wcnf, serialize
 
-        p = tmp_path / "n16.cnf"
-        p.write_text(serialize(random_ekcnf(16, 10, 3, seed=0), "cnf"), encoding="utf-8")
-        code, _, err = run_cli(capsys, "verify", str(p), "--eps", "0.5", "--max-n", "12")
+        p = tmp_path / "n26.wcnf"
+        p.write_text(serialize(random_wcnf(26, 87, 3, seed=1), "wcnf"), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify", str(p), "--eps", "0.1")
+        assert code == 0
+        assert out.splitlines()[-1] == "all_pass=1"
+        p = tmp_path / "n29.cnf"
+        p.write_text(serialize(random_ekcnf(29, 120, 3, seed=1), "cnf"), encoding="utf-8")
+        code, _, err = run_cli(capsys, "verify", str(p), "--eps", "0.5")
         assert code == 4
-
-    def test_max_n_default_is_oracle_cap(self, monkeypatch):
-        from maxcsp import cli
-        from maxcsp.oracle import ORACLE_CAP
-
-        args = ["verify", "x.cnf", "--eps", "0.5"]
-        assert cli._build_parser().parse_args(args).max_n == ORACLE_CAP
-        monkeypatch.setattr(cli, "ORACLE_CAP", ORACLE_CAP - 1)
-        assert cli._build_parser().parse_args(args).max_n == ORACLE_CAP - 1
+        assert err.startswith("error: ") and f"{1 << 29} bytes" in err
 
     def test_table_too_large_maps_to_domain_exit(self, tmp_path, capsys):
-        # numpy rejects a 2^60-entry table before it allocates anything
+        # a 2^60-entry table is refused by its byte count, before numpy is asked for it
         from maxcsp import random_ekcnf, serialize
 
         p = tmp_path / "n60.cnf"
         p.write_text(serialize(random_ekcnf(60, 100, 3, seed=0), "cnf"), encoding="utf-8")
-        code, _, err = run_cli(capsys, "verify", str(p), "--eps", "0.5", "--max-n", "60")
+        code, _, err = run_cli(capsys, "verify", str(p), "--eps", "0.5")
         assert code == 4
         assert err.startswith("error: ") and "2^60" in err
 

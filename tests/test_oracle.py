@@ -64,9 +64,23 @@ class TestBruteForce:
             assert weight_of(inst, argmax) == w_star
 
     def test_size_cap(self):
-        inst = random_ekcnf(12, 10, 3, seed=0)
-        with pytest.raises(SizeError):
-            brute_force_optimum(inst, cap=10)
+        # the table's bytes decide, not the variable count: 2^29 rows of
+        # uint8 and 2^26 of float64 are both 512 MiB, twice the limit, and
+        # are refused before anything is allocated
+        cnf, csp = random_ekcnf(29, 120, 3, seed=1), random_csp(26, 40, 3, seed=1)
+        for query in (
+            lambda: assignment_weights(cnf),
+            lambda: brute_force_optimum(cnf),
+            lambda: assignment_weights(csp),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeError, match=f"2\\^(29|26)-entry .* {1 << 29} bytes"):
+                    query()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16, peak
 
     def test_table_matches_scalar_weight_of(self):
         # the batched enumeration is bit-identical to direct evaluation,
@@ -463,9 +477,18 @@ class TestVerifyCountingBound:
             verify_counting_bound(single_pair, 0.0)
         with pytest.raises(DomainError):
             verify_counting_bound(single_pair, 0.5, w_bar=9.0)
-        inst = random_ekcnf(12, 10, 3, seed=0)
         with pytest.raises(SizeError):
-            verify_counting_bound(inst, 0.5, cap=10)
+            verify_counting_bound(random_ekcnf(29, 120, 3, seed=1), 0.5)
+        # within the byte limit n=26 needs no argument, and there the bound
+        # is no longer trivial: 2^7.99 and 2^4.52 members near the optimum
+        for inst, eps, log2_sigma in (
+            (random_ekcnf(26, 111, 3, seed=1), 0.3, 7.99),
+            (random_wcnf(26, 87, 3, seed=1), 0.1, 4.52),
+        ):
+            report = verify_counting_bound(inst, eps)
+            assert report.all_pass
+            sigma = max(c.sigma_count for c in report.per_delta_checks)
+            assert math.log2(sigma) == pytest.approx(log2_sigma, abs=0.005)
 
 
 def _lex_first(rows, n):
@@ -563,12 +586,12 @@ class TestBoundTable:
         # misses the maximum or misjudges the rows at the threshold
         base = random_csp(13, 40, 3, seed=5)
         inst = reweighted(base, (np.random.default_rng(5).integers(1, 16, 40) / 8).tolist())
-        quantization = maxcsp.oracle._bounds(inst, 13).quantization
+        quantization = maxcsp.oracle._bounds(inst).quantization
         assert quantization.above == quantization.below > 0 and quantization.slack == 1
         self._check(inst)
         # one real weight sums without rounding, so its table is the weight in units of u
         single = CspInstance(3, (Constraint(0.75, (1, 3), 0b0110),))
-        quantization = maxcsp.oracle._bounds(single, 3).quantization
+        quantization = maxcsp.oracle._bounds(single).quantization
         assert quantization.above == quantization.below == quantization.slack == 0 and quantization.e < 0
         self._check(single)
 
@@ -581,7 +604,7 @@ class TestBoundTable:
         rng = np.random.default_rng(6)
         weights = rng.integers(1, 16, 36) / 8 if dyadic else rng.uniform(0.1, 10, 36)
         inst = reweighted(base, weights.tolist())
-        bounds = maxcsp.oracle._bounds(inst, 12)
+        bounds = maxcsp.oracle._bounds(inst)
         table = assignment_weights(inst)
         values = np.unique(table[table >= 0.75 * table.max()])
         assert len(values) > 20
@@ -645,26 +668,36 @@ class TestBoundTable:
     def test_verify_memory(self):
         # a real-weight verify holds the integer table (2 bytes a row here)
         # and the kernel's peak over one chunk, never a float64 table or a
-        # byte per row
+        # byte per row. However many rows tie for the maximum (3/8 of them
+        # for x1 and x2 or x3) or the flip set replays (616,666 members for
+        # the units x1..x20 at eps 1), a query holds at most two chunks of
+        # them besides, as 8-byte indices and n-byte bits, and a chunk of
+        # temporaries (4.0 MB at most here)
         n, chunk = 20, maxcsp.oracle._CHUNK
-        inst = random_wcnf(n, 66, 4, seed=1)
-        quantized = inst._quantized(maxcsp.oracle._quantum_exponent(inst)).inst
-        peaks = []
-        for build in (
-            lambda: weight_of_lanes(quantized, enumeration_lanes(0, chunk, n), chunk),
-            lambda: verify_counting_bound(inst, 0.05),
+        rows = 3 * (8 + n) * chunk
+        for inst, query, extra in (
+            (random_wcnf(n, 66, 4, seed=1), lambda inst: verify_counting_bound(inst, 0.05), 0),
+            (clauses_instance(n, [[1], [2, 3]]), brute_force_optimum, rows),
+            (clauses_instance(n, [[1], [2, 3]], [0.3, 0.7]), brute_force_optimum, rows),
+            (clauses_instance(n, [[v + 1] for v in range(n)]), lambda inst: verify_counting_bound(inst, 1.0), rows),
         ):
-            vars(_held).clear()  # this thread's kernel stack
-            tracemalloc.start()
-            try:
-                build()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        kernel, verify = peaks
-        itemsize = np.min_scalar_type(int(quantized.total_weight)).itemsize
-        assert itemsize == 2
-        assert verify < itemsize * (1 << n) + kernel, (kernel, verify)
+            quantized = inst._quantized(maxcsp.oracle._quantum_exponent(inst)).inst
+            peaks = []
+            for build in (
+                lambda: weight_of_lanes(quantized, enumeration_lanes(0, chunk, n), chunk),
+                lambda: query(inst),
+            ):
+                vars(_held).clear()  # this thread's kernel stack
+                tracemalloc.start()
+                try:
+                    build()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            kernel, peak = peaks
+            itemsize = np.min_scalar_type(int(quantized.total_weight)).itemsize
+            assert itemsize == (2 if extra == 0 else 1)
+            assert peak < itemsize * (1 << n) + kernel + extra, (inst.num_constraints, kernel, peak)
 
 
 class TestVerifyEntropyScaling:
