@@ -80,6 +80,36 @@ def log2_binomial_sum(s: int, r: int) -> float:
     return math.log2(binomial_sum(s, r))
 
 
+def _binomial_sums(pairs: list[tuple[int, int]]) -> list[int]:
+    """``binomial_sum(s, r)`` for each (s, r), r <= s, with s never decreasing.
+
+    One walk by Pascal's rule on exact integers, keeping S = S(s, r) and C =
+    C(s, r): S(s+1, r) = 2S - C, S(s, r+1) = S + C(s, r+1) and S(s, r-1) =
+    S - C. Each pair is reached from the previous one, or afresh from (s, 0),
+    where S = C = 1, when that takes fewer steps.
+    """
+    s = r = 0
+    term = total = 1
+    sums = []
+    for s_next, r_next in pairs:
+        if r_next <= s_next - s + abs(r_next - r):
+            s, r, term, total = s_next, 0, 1, 1
+        while s < s_next:
+            total = 2 * total - term
+            s += 1
+            term = term * s // (s - r)
+        while r < r_next:
+            term = term * (s - r) // (r + 1)
+            r += 1
+            total += term
+        while r > r_next:
+            total -= term
+            term = term * r // (s - r + 1)
+            r -= 1
+        sums.append(total)
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # Instance-level counting bound
 
@@ -178,21 +208,17 @@ def counting_bound(
     contributions = sorted(inst.contributions)
     grid = sorted({tau_lo, *contributions[bisect.bisect_left(contributions, tau_lo) :]})
 
-    records = []
+    sizes = []
     for tau in grid:
         s = bisect.bisect_right(contributions, tau)
         num, den = tau.as_integer_ratio()
         # floor(slack / tau); r > s cannot happen for feasible tau, guard the contract anyway
-        r = min(s, slack.numerator * den // (slack.denominator * num))
-        records.append(
-            DeltaRecord(
-                delta=tau * n / ell,
-                threshold=tau,
-                s_size=s,
-                r=r,
-                log2_count=log2_binomial_sum(s, r),
-            )
-        )
+        sizes.append((s, min(s, slack.numerator * den // (slack.denominator * num))))
+    # |S| grows along the sorted grid
+    records = [
+        DeltaRecord(delta=tau * n / ell, threshold=tau, s_size=s, r=r, log2_count=math.log2(total))
+        for tau, (s, r), total in zip(grid, sizes, _binomial_sums(sizes))
+    ]
     best = max(range(len(records)), key=lambda i: (records[i].log2_count, -i))
     return CountingBound(
         epsilon=epsilon,

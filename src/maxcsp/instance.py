@@ -20,8 +20,11 @@ Conventions used throughout the package:
   other weights are added in float64 in constraint order, which repeats
   ``weight_of``'s float additions. Both read one loop of stacks of
   consecutive constraint blocks (``_STACK_BYTES``): the count column-sums
-  each by an adder tree inside it, and the float sum unpacks it in slices
-  of that budget, so numpy calls are few and large at any row count.
+  each by an adder tree inside it, and the float sum adds a slice of its
+  constraints at a time, as rows of their weights where satisfied under a
+  first row holding the running total, by one ``np.add.reduce`` down axis
+  0, which numpy adds in row order. So numpy calls are few and large at
+  any row count.
 * ``CspInstance._quantized(e)`` floors every weight to a multiple of a
   power of two u = 2**e, in units of u, a counted instance, and bounds
   each row's float weight by its count with exact margins, from which
@@ -381,8 +384,9 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
       summation order gives its value. The satisfied words are counted
       bit-sliced per weight bit, a stack of constraint blocks at a time, into
       one bit-sliced total, which is unpacked once into unsigned integers.
-    * Any other weights: ``out += weight * satisfied`` in float64, one constraint
-      at a time in instance order, which repeats ``weight_of``'s float additions.
+    * Any other weights: each row's ``weight * satisfied`` terms are added to its
+      float64 total one constraint at a time in instance order, which repeats
+      ``weight_of``'s float additions.
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
@@ -411,15 +415,24 @@ def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarr
     Both sums read one loop over ``_stacks``; the count is decoded once.
     """
     if not inst.counted_weights:
-        out = np.zeros(rows)
-        term = np.empty(rows)
-        step = max(1, _STACK_BYTES // max(rows, 1))
+        # every row of the lanes, at least 64 unless there are none: numpy
+        # sums pairwise only along the fast axis, so down axis 0 of a wider
+        # array it adds the rows in order
+        width = 64 * lanes.shape[1]
+        size = sum(len(block.weights) for block in inst._lane_plan)
+        step = max(1, min(size, _STACK_BYTES // (8 * max(width, 1))))
+        # row 0 holds the running total, the others a slice's weights where satisfied
+        terms = np.empty((step + 1, width))
+        out = np.zeros(width)
         for weights, stack in _stacks(inst._lane_plan, lanes):
             for k in range(0, len(stack), step):
-                satisfied = unpack_bits(stack[k : k + step], rows)
-                for weight, bits in zip(weights[k : k + step], satisfied):
-                    out += np.multiply(bits, weight, out=term)
-        return out
+                part = terms[: len(weights[k : k + step]) + 1]
+                part[0] = out
+                # a cast copy, then a float multiply: faster than one mixed-type multiply
+                part[1:] = unpack_bits(stack[k : k + step], width)
+                part[1:] *= weights[k : k + step, None]
+                np.add.reduce(part, axis=0, out=out)
+        return out[:rows]
     # bit planes of each row's count, least significant first, and the
     # weight of the constraints counted so far, which bounds every row's count
     total: list[np.ndarray] = []
@@ -445,16 +458,17 @@ def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarr
 # satisfiable constraints per block of the plan, grouped by expression shape
 _BLOCK = 64
 # bytes of satisfied words (constraints * words * 8) in one stack, at least
-# one block, and of satisfied bits the float path unpacks at once (one per
-# row and constraint). Each numpy call has a fixed cost, so fewer, larger
-# stacks are faster, at some memory. On the sample_e3cnf benchmark (E3-CNF
-# n=200, m=850, a solve at parallelism 1 then 2; 2 cores, medians of 5 runs)
-# a round took 22.3, 20.3 and 18.4 ms at 2**18, 2**19 and 2**20 bytes, with
-# peak RSS 1.5%, 2.5% and 4.4% above summing each block alone (29.3 ms). The
-# float path's 2 calls per constraint dominate it: on sample_wcnf_wide's
-# instance at 16,768 rows a call took 40-49 ms at all three budgets and with
-# 8 words per unpack (medians of 21 calls, three processes each)
-_STACK_BYTES = 1 << 19
+# one block, and of float terms (constraints * rows * 8) the float path adds
+# in one reduction. Each numpy call has a fixed cost, so fewer, larger stacks
+# are faster, at some memory: the count runs its adder trees once per weight
+# bit per stack. With 2 cores, at 2**19, 2**20 and 2**21 bytes, one 16,768-row
+# count on sample_wcnf_wide's quantized instance took 14.9, 11.8 and 10.3 ms
+# (medians of 31, one process), and the benchmark (8 s runs, 3 each) read
+# sample_wcnf_wide at 81.0, 73.6 and 64.2 ms with peak RSS 67.8, 67.7 and
+# 67.8 MB, and sample_e3cnf at 6.2, 6.4 and 6.2 ms with 52.2, 53.7 and 55.8
+# MB. 2**21 is not taken: at parallelism 2 each pool thread holds a stack,
+# and sample_e3cnf paid 3.7 MB of its 10% RSS bound for no time it gained
+_STACK_BYTES = 1 << 20
 # an expansion costing more word operations per variable than this loses to
 # unpacking the variables and looking each row up in the table
 _OPS_PER_VAR = 16

@@ -71,14 +71,18 @@ def pack_lanes(bits: np.ndarray) -> np.ndarray:
     """(num_vars, ceil(rows / 64)) lane words of a (rows, num_vars) 0/1 matrix.
 
     In Fortran order each variable's column is contiguous, so one
-    ``np.packbits`` along the sample axis yields the lanes' bytes. A matrix
-    in any other layout is copied into Fortran order first.
+    ``np.packbits`` along the sample axis yields the lanes' bytes, which
+    are the lanes themselves when the rows fill whole words. A matrix in
+    any other layout is copied into Fortran order first.
     """
     rows, num_vars = bits.shape
-    lanes = np.zeros((num_vars, 8 * ((rows + 63) // 64)), np.uint8)
-    packed = np.packbits(np.asfortranarray(bits), axis=0, bitorder="little")
-    lanes[:, : (rows + 7) // 8] = packed.T
-    return lanes.view("<u8")
+    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    if rows % 64:
+        # the last word's bits past the rows read as 0
+        lanes = np.zeros((num_vars, 8 * ((rows + 63) // 64)), np.uint8)
+        lanes[:, : packed.shape[1]] = packed
+        packed = lanes
+    return packed.view("<u8")
 
 
 def enumeration_lanes(start: int, count: int, num_vars: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from maxcsp import (
     verify_counting_bound,
     verify_entropy_scaling,
 )
+from maxcsp.bounds import _binomial_sums
 from maxcsp.instance import MAX_ARITY
 
 from helpers import clauses_instance
@@ -116,6 +117,17 @@ class TestBinomialSums:
             assert binomial_sum(s, r) == exact
             assert log2_binomial_sum(s, r) == math.log2(exact)
 
+    def test_walk_matches_each_sum(self):
+        # |S| steps up by 0, 1 or many while r rises, falls or restarts from 0
+        rng = np.random.default_rng(9)
+        pairs, s = [(0, 0)], 0
+        for _ in range(300):
+            s += int(rng.choice([0, 1, 1, 2, 40]))
+            pairs.append((s, int(rng.integers(0, s + 1))))
+        pairs += [(s, s), (s + 1, s), (s + 1, 0), (s + 500, 3)]
+        assert _binomial_sums(pairs) == [binomial_sum(s, r) for s, r in pairs]
+        assert _binomial_sums([]) == []
+
     def test_domain(self):
         with pytest.raises(DomainError):
             log2_binomial_sum(-1, 0)
@@ -200,6 +212,18 @@ class TestCountingBound:
                     need = Fraction(inst.weighted_length) + slack
                     on_boundary += any(Fraction(c) * n == need for c in inst.contributions)
         assert on_boundary > 0
+
+    def test_records_match_each_binomial_sum(self):
+        # the grid's sums are walked from record to record; each equals its own
+        # sum from i = 0, here on the sample_wcnf_wide shape among others
+        for inst in (
+            random_wcnf(1000, 1500, 5, seed=1),
+            random_ekcnf(200, 850, 3, seed=7),
+            random_csp(200, 600, 3, seed=3),
+        ):
+            for eps in (0.01, 0.1, 1.0):
+                for rec in counting_bound(inst, eps).per_delta:
+                    assert rec.log2_count == log2_binomial_sum(rec.s_size, rec.r), (inst.num_vars, eps, rec)
 
     def test_never_exceeds_n(self, complementary_units):
         for eps in [0.01, 0.3, 1.0]:

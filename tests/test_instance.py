@@ -438,25 +438,45 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
     # the shapes and the lookup, and an integral total past 2**53
     real_shapes = CspInstance(12, (*random_csp(12, 149, 4, seed=6).constraints, wide))
     over = clauses_instance(12, _mixed_clauses(rng), [2.0**53] + [1.0] * 149)
+    # weights over 60 binades, where a pairwise float sum of a row's terms
+    # differs from weight_of's sum in constraint order
+    binades = clauses_instance(12, _mixed_clauses(rng)[:40], np.exp2(rng.uniform(-30, 30, 40)).tolist())
     # no satisfiable constraint, so no stack at all, on either path
     never = [
         CspInstance(4, tuple(Constraint(w, (1 + i % 4,), 0) for i in range(70))) for w in (2.0, 2.5)
     ]
     counted = [random_ekcnf(10, 150, 3, seed=2), integral, shapes, threes, never[0]]
-    summed = [random_wcnf(12, 150, 5, 7), real_shapes, over, never[1]]
-    assert [inst.counted_weights for inst in counted + summed] == [True] * 5 + [False] * 4
+    summed = [random_wcnf(12, 150, 5, 7), real_shapes, over, binades, never[1]]
+    assert [inst.counted_weights for inst in counted + summed] == [True] * 5 + [False] * 5
     instances = counted + summed
-    for rows in (0, 1, 63, 64, 65, 130):
+    for rows in (0, 1, 2, 63, 64, 65, 127, 130):
         # bytes of one block of 64 constraints at this row count
         block = 8 * 64 * max(1, -(-rows // 64))
         for inst in instances:
             bits = rng.integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
             expected = np.array([weight_of(inst, tuple(int(b) for b in row)) for row in bits], weight_dtype(inst))
-            # below one block, the float path unpacks one constraint at a time
+            # below one block, the float path reduces one constraint at a time
             for budget in (1, block, 2 * block, 1 << 62):
                 monkeypatch.setattr(maxcsp.instance, "_STACK_BYTES", budget)
                 got = weight_of_batch(inst, bits)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_numpy_reduces_axis_0_in_order():
+    # the float path adds a slice's weights to its running total by one
+    # np.add.reduce down axis 0 of an array at least 64 wide: numpy sums
+    # pairwise only along the fast axis, so at two columns or more it adds
+    # the rows in order, as weight_of does
+    rng = np.random.default_rng(24)
+    for width in (2, 3, 64, 65, 200):
+        for rows in (2, 9, 17, 41, 130):
+            terms = np.exp2(rng.uniform(-40, 40, (rows, width)))
+            total = terms[0].copy()
+            for row in terms[1:]:
+                total += row
+            out = np.empty(width)
+            np.add.reduce(terms, axis=0, out=out)
+            assert out.tobytes() == total.tobytes(), (width, rows)
 
 
 @pytest.fixture(scope="module")
