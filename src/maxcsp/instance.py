@@ -15,16 +15,14 @@ Conventions used throughout the package:
   lane words (``rng.pack_lanes``: one word holds one variable of 64 rows)
   through ``weight_of_lanes``, the kernel's one entry, which turns each
   truth table into a few word operations by Shannon expansion and returns
-  exactly ``weight_of``'s values: counted weights are counted bit-sliced,
-  exact in any order, into unsigned integers (``_weight_dtype``), and all
-  other weights are added in float64 in constraint order, which repeats
-  ``weight_of``'s float additions. Both read one loop of stacks of
-  consecutive constraint blocks (``_STACK_BYTES``): the count column-sums
-  each by an adder tree inside it, and the float sum adds a slice of its
-  constraints at a time, as rows of their weights where satisfied under a
-  first row holding the running total, by one ``np.add.reduce`` down axis
-  0, which numpy adds in row order. So numpy calls are few and large at
-  any row count.
+  exactly ``weight_of``'s values. It reads stacks of consecutive constraint
+  blocks (``_STACK_BYTES``). Counted weights are added bit-sliced into bit
+  planes, exact in any order, by one carry-save reduction per stack over
+  the weight bits (``_carry_save``), and decoded into unsigned integers
+  (``_weight_dtype``). Other weights are added in float64 in constraint
+  order, as ``weight_of`` adds them: a slice of constraints at a time, by
+  one ``np.add.reduce`` down axis 0 of their weights where satisfied under
+  the running total. So numpy calls are few and large at any row count.
 * ``CspInstance._quantized(e)`` floors every weight to a multiple of a
   power of two u = 2**e, in units of u, a counted instance, and bounds
   each row's float weight by its count with exact margins, from which
@@ -380,13 +378,10 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     of how the batch is chunked:
 
     * Integer weights whose integral total is at most 2**53: every partial sum
-      of ``weight_of`` is an integer of at most 2**53, hence exact, so any
-      summation order gives its value. The satisfied words are counted
-      bit-sliced per weight bit, a stack of constraint blocks at a time, into
-      one bit-sliced total, which is unpacked once into unsigned integers.
-    * Any other weights: each row's ``weight * satisfied`` terms are added to its
-      float64 total one constraint at a time in instance order, which repeats
-      ``weight_of``'s float additions.
+      of ``weight_of`` is an integer of at most 2**53, hence exact, so the
+      kernel's bit-sliced count, in any order, gives its value.
+    * Any other weights: each row's terms are added to its float64 total in
+      constraint order, which repeats ``weight_of``'s float additions.
     """
     if bits.ndim != 2 or bits.shape[1] != inst.num_vars:
         raise DimensionError("bit matrix must have num_vars columns")
@@ -433,41 +428,51 @@ def weight_of_lanes(inst: CspInstance, lanes: np.ndarray, rows: int) -> np.ndarr
                 part[1:] *= weights[k : k + step, None]
                 np.add.reduce(part, axis=0, out=out)
         return out[:rows]
-    # bit planes of each row's count, least significant first, and the
-    # weight of the constraints counted so far, which bounds every row's count
-    total: list[np.ndarray] = []
+    # bit planes of each row's count, least significant first, taken after the
+    # first stack's words, where a call of one stack peaks; and the weight of
+    # the constraints counted so far, which bounds every row's count
+    planes = level = np.zeros((0, lanes.shape[1]), np.uint64)
     seen = 0
     for weights, stack in _stacks(inst._lane_plan, lanes):
+        if not len(planes):
+            planes = np.zeros((int(inst.total_weight).bit_length(), lanes.shape[1]), np.uint64)
         weights = weights.astype(np.int64)
-        present = int(np.bitwise_or.reduce(weights))
-        for k in range(present.bit_length()):
-            if not present >> k & 1:
-                continue
-            member = (weights >> k) & 1 == 1
-            # the column sum overwrites its input: the stack itself only for the last bit
-            last = present >> (k + 1) == 0
-            stack_sum = _column_sum(stack if last and member.all() else stack[member])
-            # members count 2**k each, so their sum adds into the total from plane k up
-            total += [np.zeros_like(stack_sum[0])] * (k - len(total))
-            total = total[:k] + _add(total[k:], stack_sum)
-        seen += int(weights.sum())
-        total = total[: seen.bit_length()]
-    return _values(total, rows, np.empty(rows, _weight_dtype(inst)))
+        seen, present = seen + int(weights.sum()), int(np.bitwise_or.reduce(weights))
+        # level j: the carries out of level j - 1, then the rows whose weight has bit j, gathered
+        # into the level buffer; the stack itself if every row weighs the same power of two
+        bits = range(present.bit_length()) if present & (present - 1) else ()
+        members = [np.flatnonzero(weights >> j & 1) for j in bits]
+        sizes = [len(member) for member in members] or [0] * (present.bit_length() - 1) + [len(stack)]
+        sizes += [0] * (seen.bit_length() - len(sizes))
+        size = held = carries = 0
+        for count in sizes:
+            size, held = max(size, held + count), (held + count + 1) // 2
+        if members and len(level) < size:
+            level = None  # the smaller buffer goes before the larger one comes
+            level = np.empty((size, lanes.shape[1]), np.uint64)
+        for j, count in enumerate(sizes):
+            if j < len(members):
+                np.take(stack, members[j], axis=0, out=level[carries : carries + count], mode="clip")
+            count += carries
+            # the carries out of the top plane would count past ``seen``: they are 0
+            carries = _carry_save(level if members else stack, count, planes[j : j + 1]) if count else 0
+    return _values(planes[: seen.bit_length()], rows, np.empty(rows, _weight_dtype(inst)))
 
 
 # satisfiable constraints per block of the plan, grouped by expression shape
 _BLOCK = 64
 # bytes of satisfied words (constraints * words * 8) in one stack, at least
 # one block, and of float terms (constraints * rows * 8) the float path adds
-# in one reduction. Each numpy call has a fixed cost, so fewer, larger stacks
-# are faster, at some memory: the count runs its adder trees once per weight
-# bit per stack. With 2 cores, at 2**19, 2**20 and 2**21 bytes, one 16,768-row
-# count on sample_wcnf_wide's quantized instance took 14.9, 11.8 and 10.3 ms
-# (medians of 31, one process), and the benchmark (8 s runs, 3 each) read
-# sample_wcnf_wide at 81.0, 73.6 and 64.2 ms with peak RSS 67.8, 67.7 and
-# 67.8 MB, and sample_e3cnf at 6.2, 6.4 and 6.2 ms with 52.2, 53.7 and 55.8
-# MB. 2**21 is not taken: at parallelism 2 each pool thread holds a stack,
-# and sample_e3cnf paid 3.7 MB of its 10% RSS bound for no time it gained
+# in one reduction. Each numpy call has a fixed cost, and the count pays its
+# gathers and carry-save passes per stack, so larger stacks are faster, at
+# some memory. On a loaded 2-core host, at 2**19, 2**20 and 2**21 bytes, one
+# 16,768-row count of sample_wcnf_wide's quantized instance took 13.6-14.1,
+# 11.9-12.1 and 11.3-11.8 ms (medians of 31, one process), and the benchmark
+# (8 s runs, 3 each) read sample_wcnf_wide at 113, 104 and 125 ms,
+# sample_e3cnf at 10.2, 9.2 and 10.3 ms with peak RSS 51.9, 53.5 and 55.8 MB,
+# ksat_desk at 0.74, 0.76 and 0.70 ms and oracle_verify at 5.8, 6.3 and 5.9
+# ms. No other size holds all four, and at parallelism 2 each pool thread
+# holds a stack, so 2**21 costs sample_e3cnf 2.3 MB of RSS
 _STACK_BYTES = 1 << 20
 # an expansion costing more word operations per variable than this loses to
 # unpacking the variables and looking each row up in the table
@@ -669,62 +674,41 @@ def _stacks(blocks: list[_Block], lanes: np.ndarray):
         yield weights, stack
 
 
-def _add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    """Bit-sliced a + b; a number is its list of bit planes, least significant first."""
-    if len(a) < len(b):
-        a, b = b, a
-    out, carry = [], None
-    for i, x in enumerate(a):
-        y = b[i] if i < len(b) else None
-        if y is None and carry is None:
-            out.append(x)
-        elif y is None or carry is None:
-            z = carry if y is None else y
-            out.append(x ^ z)
-            carry = x & z
-        else:
-            s = x ^ y
-            out.append(s ^ carry)
-            carry = (x & y) | (s & carry)
-    if carry is not None:
-        out.append(carry)
-    return out
+def _carry_save(rows: np.ndarray, count: int, plane: np.ndarray) -> int:
+    """Add the first ``count`` rows, words of one bit level, into the (1, words) ``plane`` in place.
 
-
-def _column_sum(stack: np.ndarray) -> list[np.ndarray]:
-    """Bit planes, each (1, words), of the per-bit column sums of a (k, words) stack.
-
-    The adder tree runs inside the stack, which it overwrites: each level
-    adds the top half of every plane to its bottom half with in-place word
-    operations, so no level takes a fresh array. The planes are returned as
-    copies, free of the stack's memory.
+    Each pass adds the level's rows three at a time, a <- carry and c <- sum,
+    and moves the carries into rows that earlier passes freed, so carries
+    lead and the level's rows trail, until at most two add into the plane.
+    Returns the number of carries, of the next level, now leading: (count + 1) // 2.
     """
-    planes, spare = [stack], []
-    while len(planes[0]) > 1:
-        half, odd = divmod(len(planes[0]), 2)
-        if odd:
-            spare.append([p[-1:] for p in planes])
-        pairs = [(p[:half], p[half : 2 * half]) for p in planes]
-        x, y = pairs[0]
-        # half adder: y <- x ^ y, then x <- (x | y) ^ y = x & y_old, the carry
-        np.bitwise_xor(y, x, y)
-        np.bitwise_or(x, y, x)
-        np.bitwise_xor(x, y, x)
-        planes, carry = [y], x
-        for x, y in pairs[1:]:
-            # full adder: with y <- x ^ y and x <- x ^ carry, the sum is
-            # carry ^ y and the new carry majority(x, y, carry) = (x | y) ^ sum
-            np.bitwise_xor(y, x, y)
-            np.bitwise_xor(x, carry, x)
-            np.bitwise_xor(carry, y, carry)
-            np.bitwise_or(x, y, x)
-            np.bitwise_xor(x, carry, x)
-            planes.append(carry)
-            carry = x
-        planes.append(carry)
-    for number in spare:
-        planes = _add(planes, number)
-    return [plane.copy() for plane in planes]
+    carries = start = 0
+    while count - start >= 3:
+        third = (count - start) // 3
+        b, c = start + third, start + 2 * third
+        _full_add(rows[start:b], rows[b:c], rows[c : c + third])
+        if carries < start:
+            rows[carries : carries + third] = rows[start:b]
+        carries, start = carries + third, c
+    a = rows[start : start + 1]
+    if count - start == 2:
+        _full_add(a, rows[start + 1 : start + 2], plane)
+    else:
+        # half adder: plane <- a ^ plane, then a <- (a | plane) ^ plane = a & plane_old
+        np.bitwise_xor(plane, a, plane)
+        np.bitwise_or(a, plane, a)
+        np.bitwise_xor(a, plane, a)
+    rows[carries] = a[0]  # a copy onto itself when no pass ran
+    return carries + 1
+
+
+def _full_add(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """In place, c <- a ^ b ^ c and a <- majority(a, b, c) = ((a ^ c) | (a ^ b)) ^ sum; b is spent."""
+    np.bitwise_xor(b, a, b)
+    np.bitwise_xor(a, c, a)
+    np.bitwise_xor(c, b, c)
+    np.bitwise_or(a, b, a)
+    np.bitwise_xor(a, c, a)
 
 
 def contribution(inst: CspInstance, i: int) -> float:

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -315,12 +315,23 @@ def _is_near(bounds: _Bounds, near: _Near, rows: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _all_near(bounds: _Bounds, near: _Near, rows: Iterator[int]) -> bool:
-    """Whether every packed row that ``rows`` yields is near-optimal, judged a chunk at a time."""
-    while len(batch := np.fromiter(islice(rows, _CHUNK), dtype=np.int64)):
-        if not _is_near(bounds, near, batch).all():
-            return False
-    return True
+def _flips(z0: int, masks: list[int], r: int) -> Iterator[np.ndarray]:
+    """Batches of at most ``_CHUNK`` packed rows: z0 with each set of at most r of the one-bit ``masks`` flipped.
+
+    A set is its parts in the two halves of ``masks``, of at most 2**14
+    subsets each while n <= 28. A batch is the outer XOR of a slice of the
+    first half's subsets against all of the second's, kept where the two
+    sizes add up to at most r.
+    """
+    # the sums of each half's subsets of size at most r, and their sizes
+    low, high = (
+        np.array([(sum(c), a) for a in range(r + 1) for c in combinations(part, a)], np.int64).T
+        for part in (masks[: len(masks) // 2], masks[len(masks) // 2 :])
+    )
+    step = max(1, _CHUNK // high.shape[1])
+    for start in range(0, low.shape[1], step):
+        part = low[:, start : start + step, None]
+        yield (part[0] ^ high[0] ^ z0)[part[1] + high[1] <= r]
 
 
 def brute_force_optimum(inst: CspInstance) -> tuple[float, Assignment]:
@@ -377,10 +388,12 @@ def verify_counting_bound(inst: CspInstance, epsilon: float, w_bar: float | None
     checks = []
     for rec in cb.per_delta:
         masks = [1 << f for f in range(n) if inst.contributions[f] <= rec.threshold]
-        members = (z0 ^ sum(c) for size in range(rec.r + 1) for c in combinations(masks, size))
         sigma = binomial_sum(rec.s_size, rec.r)
         # sigma counts the record's |S|, so it must be the set the replay flips
-        members_ok = len(masks) == rec.s_size and _all_near(bounds, near, members)
+        # the first batch with a member below the threshold ends the replay
+        members_ok = len(masks) == rec.s_size and all(
+            _is_near(bounds, near, batch).all() for batch in _flips(z0, masks, rec.r)
+        )
         checks.append(
             DeltaCheck(
                 delta=rec.delta,

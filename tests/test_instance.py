@@ -434,6 +434,20 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
     # every constraint in two weight bits: the first bit's sum must not
     # overwrite the stack the second one reads
     threes = clauses_instance(12, _mixed_clauses(rng), [3.0] * 150)
+    # weight bits with levels between them that hold carries only
+    gaps = [clauses_instance(12, _mixed_clauses(rng), [1.0, high] * 75) for high in (4.0, 2.0**20)]
+    # a total of exactly 2**53: uint64 counts in 54 planes, the top one set
+    # on the rows that satisfy all ten clauses; two tautologies carry the
+    # heavy weights
+    heavy = (Constraint(2.0**52, (1,), 0b11), Constraint(2.0**52 - 10, (2,), 0b11))
+    fours = [clause_from_literals(c) for c in _mixed_clauses(rng) if len(c) == 4][:10]
+    top = CspInstance(12, (*heavy, *fours))
+    assert top.total_weight == 2.0**53 and top.num_constraints == 12
+    # a last stack of one constraint, and an instance of one, with weights of many bits
+    odd = [
+        clauses_instance(12, _mixed_clauses(rng)[:65], rng.integers(1, 1 << 12, 65).astype(float).tolist()),
+        clauses_instance(12, [[1, -2, 3]], [1e15 + 7]),
+    ]
     # the float path reads the same stacks: real weights, real weights over
     # the shapes and the lookup, and an integral total past 2**53
     real_shapes = CspInstance(12, (*random_csp(12, 149, 4, seed=6).constraints, wide))
@@ -445,9 +459,9 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
     never = [
         CspInstance(4, tuple(Constraint(w, (1 + i % 4,), 0) for i in range(70))) for w in (2.0, 2.5)
     ]
-    counted = [random_ekcnf(10, 150, 3, seed=2), integral, shapes, threes, never[0]]
+    counted = [random_ekcnf(10, 150, 3, seed=2), integral, shapes, threes, *gaps, top, *odd, never[0]]
     summed = [random_wcnf(12, 150, 5, 7), real_shapes, over, binades, never[1]]
-    assert [inst.counted_weights for inst in counted + summed] == [True] * 5 + [False] * 5
+    assert [inst.counted_weights for inst in counted + summed] == [True] * 10 + [False] * 5
     instances = counted + summed
     for rows in (0, 1, 2, 63, 64, 65, 127, 130):
         # bytes of one block of 64 constraints at this row count
@@ -455,11 +469,93 @@ def test_stack_budget_never_changes_a_result(monkeypatch):
         for inst in instances:
             bits = rng.integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
             expected = np.array([weight_of(inst, tuple(int(b) for b in row)) for row in bits], weight_dtype(inst))
+            if inst is top and rows == 130:
+                assert expected.dtype == np.uint64 and (expected == 1 << 53).any()
             # below one block, the float path reduces one constraint at a time
             for budget in (1, block, 2 * block, 1 << 62):
                 monkeypatch.setattr(maxcsp.instance, "_STACK_BYTES", budget)
                 got = weight_of_batch(inst, bits)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+counted_instances = st.integers(6, 10).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.integers(1, 1 << 30),
+            st.lists(st.integers(1, n), min_size=1, max_size=6, unique=True),
+            st.integers(0, (1 << 64) - 1),
+        ),
+        min_size=1,
+        max_size=80,
+    ).map(
+        lambda cs: CspInstance(
+            n, tuple(Constraint(float(w), tuple(vs), table % (1 << (1 << len(vs)))) for w, vs, table in cs)
+        )
+    )
+)
+
+
+@given(
+    inst=counted_instances,
+    rows=st.integers(1, 200),
+    budget=st.sampled_from([1, 1 << 20]),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_counts_match_weight_of(inst, rows, budget, seed):
+    # random tables of arity 1 to 6 and weights of up to 31 bits, in stacks
+    # of one block and of the default budget, against the scalar reference
+    import maxcsp.instance
+
+    assert inst.counted_weights
+    bits = np.random.default_rng(seed).integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
+    expected = np.array([weight_of(inst, tuple(int(b) for b in row)) for row in bits], weight_dtype(inst))
+    kept = maxcsp.instance._STACK_BYTES
+    maxcsp.instance._STACK_BYTES = budget
+    try:
+        got = weight_of_batch(inst, bits)
+    finally:
+        maxcsp.instance._STACK_BYTES = kept
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_warm_counts_keep_their_memory_flat():
+    # fresh memory of a warm counted call, beside the thread's kept stack,
+    # measured with tracemalloc on Python 3.11 and numpy 2.4. Unit clauses
+    # (sample_e3cnf's shape, 850 x 512 words) are reduced inside the stack:
+    # the call holds its 2-byte counts, the count's 10 planes, and one
+    # block's gathered operand with numpy's 64 KB ufunc buffer, 376 KB (the
+    # former adder tree took 416 KB), under 16 bytes a row. Multi-bit
+    # weights (sample_wcnf_wide's shape, quantized, one 16,768-row chunk:
+    # weights of up to 8 bits in stacks of 448 x 262 words) gather each
+    # level's members behind the carries of the level below into one level
+    # buffer, 443 rows at most here, so the call holds less than a stack's
+    # bytes besides those arrays: 1,107 KB (the former per-bit column sums
+    # took 634 KB, and a fresh concatenation of each level's carries and
+    # member gather about 2.3 MB)
+    import tracemalloc
+
+    from maxcsp import sampler
+    from maxcsp.instance import _STACK_BYTES
+
+    wide = random_wcnf(1000, 1500, 5, 1)
+    cases = [
+        (random_ekcnf(200, 850, 3, seed=1), 32_768, 16 * 32_768),
+        (wide._quantized(sampler._quantum_exponent(wide)).inst, 16_768, _STACK_BYTES + 24 * 16_768),
+    ]
+    rng = np.random.default_rng(36)
+    for inst, rows, bound in cases:
+        assert inst.counted_weights
+        lanes = rng.integers(0, 1 << 63, size=(inst.num_vars, rows // 64), dtype=np.uint64)
+        first = weight_of_lanes(inst, lanes, rows)
+        tracemalloc.start()
+        try:
+            again = weight_of_lanes(inst, lanes, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, again)
+        assert peak < bound, (inst.num_constraints, peak, bound)
 
 
 def test_numpy_reduces_axis_0_in_order():

@@ -442,6 +442,24 @@ class TestVerifyCountingBound:
         assert not report.per_delta_checks[0].members_ok
         assert not report.all_pass
 
+    @pytest.mark.parametrize("chunk", [64, 1 << 16])
+    def test_flip_batches_hold_each_member_once(self, chunk, monkeypatch):
+        # the replay's batches are outer XORs of the two halves' subsets,
+        # kept by size: together they must be exactly z0 with each set of at
+        # most r of the masks flipped, once each, in batches of at most a chunk
+        monkeypatch.setattr(maxcsp.oracle, "_CHUNK", chunk)
+        rng = np.random.default_rng(41)
+        for size in range(0, 13):
+            masks = [1 << int(f) for f in np.sort(rng.choice(16, size=size, replace=False))]
+            z0 = int(rng.integers(0, 1 << 16))
+            for r in range(size + 2):
+                batches = list(maxcsp.oracle._flips(z0, masks, r))
+                assert all(0 < len(batch) <= chunk and batch.dtype == np.int64 for batch in batches)
+                expected = sorted(
+                    z0 ^ sum(c) for i in range(min(r, size) + 1) for c in itertools.combinations(masks, i)
+                )
+                assert np.sort(np.concatenate(batches)).tolist() == expected, (size, r)
+
     def test_power_of_two_scaling_changes_nothing(self):
         # scaling every weight by a power of two is exact in floating point,
         # so the counts must not move, however small or large the weights
