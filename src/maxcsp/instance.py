@@ -370,8 +370,9 @@ def weight_of(inst: CspInstance, assignment: Assignment | Sequence[int]) -> floa
 def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
     """Vectorized weights for a (batch, num_vars) 0/1 matrix, as a new array of ``_weight_dtype``.
 
-    Accepts any memory order and any integer or bool dtype holding 0/1
-    values; a Fortran-order matrix, as ``rng.assignment_bits`` returns, packs
+    Accepts any memory order and any integer or bool dtype; an entry other
+    than 0 or 1 raises ``DomainError``, a check a bool matrix skips. A
+    Fortran-order matrix, as ``rng.assignment_bits`` returns, packs
     fastest. The columns are packed into lane words (``rng.pack_lanes``), so
     each constraint yields one satisfied word per 64 rows. Each row's result
     is bit-identical to the scalar ``weight_of`` of that row and independent
@@ -387,6 +388,9 @@ def weight_of_batch(inst: CspInstance, bits: np.ndarray) -> np.ndarray:
         raise DimensionError("bit matrix must have num_vars columns")
     if bits.dtype.kind not in "biu":
         raise DomainError(f"bit matrix must have an integer or bool dtype, not {bits.dtype}")
+    # packing reads any nonzero entry as 1; a bool matrix holds nothing else
+    if bits.dtype != bool and bits.size and not 0 <= bits.min() <= bits.max() <= 1:
+        raise DomainError("bit matrix entries must be 0 or 1")
     return weight_of_lanes(inst, pack_lanes(bits), len(bits))
 
 

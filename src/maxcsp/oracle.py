@@ -232,7 +232,8 @@ def _weights(bounds: _Bounds, rows: np.ndarray) -> np.ndarray:
     """``weight_of`` of the given packed rows, exact: from the table where the slack is 0."""
     if bounds.quantization.slack == 0:
         return np.ldexp(bounds.table[rows].astype(np.float64), bounds.quantization.e)
-    return weight_of_batch(bounds.inst, unpack_bits(rows.astype(np.uint64)[:, None], bounds.inst.num_vars))
+    bits = unpack_bits(rows.astype(np.uint64)[:, None], bounds.inst.num_vars)
+    return weight_of_batch(bounds.inst, bits.view(bool))
 
 
 def _optimum(weights: np.ndarray, n: int, rows: np.ndarray) -> tuple[float, int]:

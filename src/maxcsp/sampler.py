@@ -15,16 +15,18 @@ matrix fits in 2**24 bytes, with rows clamped to [64, 65,536] (65,536 up to
 n = 256, 16,768 at n = 1000), so the working set stays bounded as n grows. A
 budget smaller than one such chunk per worker is shared out evenly instead.
 
-A chunk needs only its strict prefix maxima, not every weight. Counted
-weights (``CspInstance.counted_weights``) are counted exactly and scanned
-as they are. Any other weights are counted exactly in the units of their
-quantization (``CspInstance._quantized``): row x has a count Q(x), and a
-row whose Q plus the quantization's ``slack`` does not exceed an earlier
-row's Q weighs no more than that row, so it cannot be a strict prefix
-maximum. Only the other rows, the candidates, are evaluated in float. Their
-exact weights give the same events, bit for bit. The quantum u keeps the
-slack near the spread of the sample weights (``_quantum_exponent``), and a
-chunk whose candidates are more than an eighth of it is evaluated wholly in
+A chunk needs only its strict prefix maxima, not every weight: the rows
+whose weight exceeds the running maximum of the rows before them
+(``_rises``). Counted weights (``CspInstance.counted_weights``) are counted
+exactly and scanned as they are. Any other weights are counted exactly in
+the units of their quantization (``CspInstance._quantized``): row x has a
+count Q(x), and a row whose Q plus the quantization's ``slack`` does not
+exceed the running maximum of the earlier Q weighs no more than an earlier
+row, so it cannot be a strict prefix maximum. Only the other rows, the
+candidates, are evaluated in float, and the same rule over their exact
+weights gives the same events, bit for bit. The quantum u keeps the slack
+near the spread of the sample weights (``_quantum_exponent``), and a chunk
+whose candidates are more than an eighth of it is evaluated wholly in
 float, as are the chunks that start after it. Every event weight is a
 Python float.
 """
@@ -158,64 +160,47 @@ def _scan_chunk(
     ``route[0]`` is (counted, slack): ``inst``'s quantization
     (``CspInstance._quantized``) and its ``slack``, or ``inst`` itself and
     0, whose count is the weight. A row can rise above every earlier row
-    only if its count plus the slack does, so only those rows are evaluated
-    in float. If they are more than an eighth of the chunk, every row is,
-    and the chunks that start later count with ``inst`` itself.
+    only if its count plus the slack does (``_rises``), so only those rows
+    are evaluated in float, and the rows whose float weights rise among them
+    are the events. If they are more than an eighth of the chunk, every row
+    is evaluated and scanned, and the chunks that start later count with
+    ``inst`` itself.
     """
     counted, slack = route[0]
-    bits = assignment_bits(seed, start, count, inst.num_vars)
+    # a bool view packs like the uint8 bits, and the kernel need not check that they are 0/1
+    bits = assignment_bits(seed, start, count, inst.num_vars).view(bool)
     weights = weight_of_batch(counted, bits)
+    rows = None
     if counted is not inst:
-        rows = _candidates(weights, slack)
+        rows = _rises(weights, slack)
         if 8 * len(rows) > count:
             # a copy of more than an eighth of the chunk's bits would add more
             # memory than the kernel's lanes of all of them, and time, so every
             # row is evaluated, the row list and counts freed first; a chunk
             # like this is likely followed by more, so they skip the count
-            del rows, weights
+            rows = weights = None
             weights = weight_of_batch(inst, bits)
             route[0] = (inst, 0)
         else:
-            weights = np.full(count, -math.inf)
             # the rows of a Fortran-order matrix are gathered fastest as columns of its transpose
-            weights[rows] = weight_of_batch(inst, bits.T.take(rows, axis=1).T)
+            weights = weight_of_batch(inst, bits.T.take(rows, axis=1).T)
     # freed before the scan allocates: held through it, the bits made a
     # desk-scale solve grow and trim the heap on every call (112 minor faults)
     del bits
-    # a row rises above every earlier row only inside a 64-row block whose
-    # maximum rises above every earlier block's, so only those blocks are scanned
-    peaks, floors = _block_peaks(weights)
-    events = []
-    for b in np.flatnonzero(peaks > floors).tolist():
-        best = float(floors[b])
-        for i, w in enumerate(weights[64 * b : 64 * b + 64].tolist(), start + 64 * b):
-            if w > best:
-                events.append((i, float(w)))
-                best = w
-    return events
+    # every row that rises above all earlier rows is a candidate, so rising
+    # above the earlier candidates is the same test
+    peaks = _rises(weights)
+    indices = peaks.tolist() if rows is None else rows[peaks].tolist()
+    return [(start + i, w) for i, w in zip(indices, weights[peaks].astype(np.float64).tolist())]
 
 
-def _block_peaks(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The maximum of each 64-row block, and the maximum of all blocks before it (-inf for the first), as floats."""
-    peaks = np.maximum.reduceat(weights, np.arange(0, len(weights), 64)).astype(np.float64)
-    return peaks, np.maximum.accumulate(np.concatenate(([-math.inf], peaks[:-1])))
-
-
-def _candidates(counts: np.ndarray, slack: int) -> np.ndarray:
-    """The rows whose count plus ``slack`` exceeds every earlier row's count, in order.
-
-    Only the 64-row blocks whose peak plus ``slack`` exceeds every earlier
-    block's peak can hold one; each row of those is compared with the larger
-    of the earlier blocks' peak and the rows before it in its block.
-    """
-    peaks, floors = _block_peaks(counts)
-    blocks = np.flatnonzero(peaks + slack > floors)
-    rows = 64 * blocks[:, None] + np.arange(64)
+def _rises(values: np.ndarray, slack: int = 0) -> np.ndarray:
+    """The rows whose value plus ``slack`` exceeds every earlier row's value, in order; row 0 always."""
     # cast before the slack is added, which could wrap around a narrow integer count
-    block = counts[np.minimum(rows, len(counts) - 1)].astype(np.float64)
-    block[rows >= len(counts)] = -math.inf
-    before = np.maximum.accumulate(np.column_stack((floors[blocks], block[:, :-1])), axis=1)
-    return rows[block + slack > before]
+    raised = values.astype(np.float64) + slack if slack else values
+    rises = np.ones(len(values), bool)
+    np.greater(raised[1:], np.maximum.accumulate(values)[:-1], out=rises[1:])
+    return np.flatnonzero(rises)
 
 
 def solve(

@@ -403,7 +403,8 @@ def test_batch_matches_scalar_exactly():
             bits = rng.integers(0, 2, size=(rows, inst.num_vars)).astype(np.uint8)
             expected = [weight_of(inst, tuple(int(b) for b in row)) for row in bits]
             # any memory order and any integer or bool dtype
-            for layout in (bits, np.asfortranarray(bits), bits.astype(np.int64), bits.astype(bool)):
+            layouts = (bits, np.asfortranarray(bits), bits.astype(np.int8), bits.astype(np.int64), bits.astype(bool))
+            for layout in layouts:
                 assert weight_of_batch(inst, layout).tolist() == expected
 
 
@@ -416,6 +417,18 @@ def test_batch_dimension_check(single_pair):
 def test_batch_dtype_check(single_pair, dtype):
     with pytest.raises(DomainError, match="integer or bool dtype"):
         weight_of_batch(single_pair, np.ones((2, 2), dtype=dtype))
+
+
+@pytest.mark.parametrize("value, dtype", [(2, np.uint8), (-1, np.int8), (2, np.int64), (-1, np.int64)])
+def test_batch_entries_other_than_0_1_rejected(value, dtype):
+    # packing would read any nonzero entry as 1
+    inst = random_ekcnf(12, 40, 3, seed=1)
+    bits = np.zeros((3, 12), dtype)
+    bits[1, 5] = value
+    with pytest.raises(DomainError, match="0 or 1"):
+        weight_of_batch(inst, bits)
+    with pytest.raises(DomainError, match="0 or 1"):
+        weight_of_batch(inst, np.asfortranarray(bits))
 
 
 def test_stack_budget_never_changes_a_result(monkeypatch):

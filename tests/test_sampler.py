@@ -543,10 +543,37 @@ class TestQuantizedScan:
         e = math.frexp(inst.total_weight / m)[1] - 1 - bits
         quantization = inst._quantized(e)
         matrix = assignment_bits(seed, 64 * block, count, n)
-        candidates = sampler._candidates(weight_of_batch(quantization.inst, matrix), quantization.slack)
+        candidates = sampler._rises(weight_of_batch(quantization.inst, matrix), quantization.slack)
         assert np.all(np.diff(candidates) > 0)
         maxima = [i for i, _ in _prefix_maxima(weight_of_batch(inst, matrix))]
         assert set(maxima) <= set(candidates.tolist())
+
+    @given(
+        values=st.one_of(
+            # a uint8 count near 255 plus a slack up to 40 would wrap were it not cast first
+            *(
+                st.tuples(
+                    st.just(dtype),
+                    st.lists(st.integers(0, np.iinfo(dtype).max), min_size=1, max_size=700),
+                    st.integers(0, 40),
+                )
+                for dtype in (np.uint8, np.uint16, np.uint32)
+            ),
+            # floats, the first from few distinct values so that ties are common
+            *(
+                st.tuples(st.just(np.float64), st.lists(floats, min_size=1, max_size=700), st.just(0))
+                for floats in (
+                    st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.75, 1e300]),
+                    st.floats(-1e6, 1e6, allow_nan=False),
+                )
+            ),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rises_is_the_running_maximum_rule(self, values):
+        dtype, v, slack = values
+        naive = [i for i in range(len(v)) if i == 0 or v[i] + slack > max(v[:i])]
+        assert sampler._rises(np.array(v, dtype), slack).tolist() == naive
 
     def test_heavy_and_light(self, monkeypatch):
         # the light clauses floor to nothing next to the heavy ones, so most
